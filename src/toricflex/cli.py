@@ -49,6 +49,22 @@ EXIT_USAGE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_VERIFY_FAILED = 4
 
+# The exit-code contract for every error a command lets propagate.  An
+# exception takes the code of the first class on its MRO listed here, so
+# NotSimplicialError exits like InvalidFanError.  Bare ValueError is left
+# out on purpose: a stray one is a bug and should surface as a traceback.
+EXIT_CODES = {
+    OSError: EXIT_USAGE,
+    UnicodeDecodeError: EXIT_USAGE,
+    FanFormatError: EXIT_USAGE,
+    CertificateFormatError: EXIT_USAGE,
+    BadConeError: EXIT_USAGE,
+    BadParameterError: EXIT_USAGE,
+    InvalidFanError: EXIT_INVALID_FAN,
+    NotSmoothError: EXIT_HYPOTHESIS,
+    DegenerateError: EXIT_HYPOTHESIS,
+}
+
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -86,12 +102,7 @@ def _summary(report: FanReport) -> str:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        fan = _load_fan(args.input)
-    except (OSError, FanFormatError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except InvalidFanError as exc:
-        return _fail(EXIT_INVALID_FAN, str(exc))
+    fan = _load_fan(args.input)
     report = validate_fan(fan)
     print(_summary(report))
     for line in report.diagnostics:
@@ -100,33 +111,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        fan = _load_fan(args.input)
-    except (OSError, FanFormatError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except InvalidFanError as exc:
-        return _fail(EXIT_INVALID_FAN, str(exc))
+    fan = _load_fan(args.input)
     report = validate_fan(fan)
-    try:
-        _write_text(args.output, json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    _write_text(args.output, json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
     return EXIT_OK if report.valid else EXIT_INVALID_FAN
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
-    try:
-        fan = _load_fan(args.input)
-    except (OSError, FanFormatError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except InvalidFanError as exc:
-        return _fail(EXIT_INVALID_FAN, str(exc))
-    try:
-        cert = build_cover(fan)
-    except InvalidFanError as exc:
-        return _fail(EXIT_INVALID_FAN, str(exc))
-    except (NotSmoothError, DegenerateError) as exc:
-        return _fail(EXIT_HYPOTHESIS, f"hypothesis failure: {exc}")
+    fan = _load_fan(args.input)
+    cert = build_cover(fan)
     if args.verbose:
         kinds = ", ".join(sorted({ch.kind for ch in cert.charts}))
         print(
@@ -134,24 +127,13 @@ def _cmd_cover(args: argparse.Namespace) -> int:
             f"a_covered = {cert.a_covered}",
             file=sys.stderr,
         )
-    try:
-        _write_text(args.output, certificate_to_json(cert))
-    except OSError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    _write_text(args.output, certificate_to_json(cert))
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        fan = _load_fan(args.input)
-    except (OSError, FanFormatError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except InvalidFanError as exc:
-        return _fail(EXIT_INVALID_FAN, str(exc))
-    try:
-        cert = certificate_from_json(_read_text(args.cert))
-    except (OSError, CertificateFormatError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    fan = _load_fan(args.input)
+    cert = certificate_from_json(_read_text(args.cert))
     report = verify_certificate(fan, cert)
     for line in report.findings:
         print(f"toricflex: finding: {line}", file=sys.stderr)
@@ -164,35 +146,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_example(args: argparse.Namespace) -> int:
     params = args.param or []
-    try:
-        if args.name == "product":
-            if len(params) != 2:
-                return _fail(EXIT_USAGE, "example product needs two --param values")
-            fan = fan_product(
-                fan_projective_space(params[0]), fan_projective_space(params[1])
-            )
-        else:
-            if len(params) != 1:
-                return _fail(EXIT_USAGE, f"example {args.name} needs one --param value")
-            builder = {
-                "affine": fan_affine_space,
-                "projective": fan_projective_space,
-                "hirzebruch": fan_hirzebruch,
-                "punctured": fan_punctured_affine,
-            }[args.name]
-            fan = builder(params[0])
-    except BadParameterError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    if args.name == "product":
+        if len(params) != 2:
+            return _fail(EXIT_USAGE, "example product needs two --param values")
+        fan = fan_product(
+            fan_projective_space(params[0]), fan_projective_space(params[1])
+        )
+    else:
+        if len(params) != 1:
+            return _fail(EXIT_USAGE, f"example {args.name} needs one --param value")
+        builder = {
+            "affine": fan_affine_space,
+            "projective": fan_projective_space,
+            "hirzebruch": fan_hirzebruch,
+            "punctured": fan_punctured_affine,
+        }[args.name]
+        fan = builder(params[0])
     if args.verbose:
         print(
             f"toricflex: {args.name} fan with {len(fan.rays)} rays and "
             f"{len(fan.max_cones)} maximal cones",
             file=sys.stderr,
         )
-    try:
-        _write_text(args.output, fan_to_json(fan))
-    except OSError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    _write_text(args.output, fan_to_json(fan))
     return EXIT_OK
 
 
@@ -206,33 +182,23 @@ def _parse_cone(text: str) -> tuple[int, ...]:
 
 
 def _cmd_subdivide(args: argparse.Namespace) -> int:
-    try:
-        fan = _load_fan(args.input)
-    except (OSError, FanFormatError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except InvalidFanError as exc:
-        return _fail(EXIT_INVALID_FAN, str(exc))
+    fan = _load_fan(args.input)
     report = validate_fan(fan)
     if not report.valid:
         for line in report.diagnostics:
             print(f"toricflex: finding: {line}", file=sys.stderr)
         return _fail(EXIT_INVALID_FAN, "refusing to subdivide an invalid fan")
-    try:
-        child = star_subdivision(fan, _parse_cone(args.cone))
-    except BadConeError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except NotSmoothError as exc:
-        return _fail(EXIT_HYPOTHESIS, f"hypothesis failure: {exc}")
+    child = star_subdivision(fan, _parse_cone(args.cone))
+    # Serialize first: once the fan is known to be writable, its new ray
+    # is also short enough to print in the note.
+    text = fan_to_json(child)
     if args.verbose:
         print(
             f"toricflex: added ray {child.rays[-1]}; fan now has "
             f"{len(child.max_cones)} maximal cones",
             file=sys.stderr,
         )
-    try:
-        _write_text(args.output, fan_to_json(child))
-    except OSError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    _write_text(args.output, text)
     return EXIT_OK
 
 
@@ -311,7 +277,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help; keep its code.
         return int(exc.code or 0)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except tuple(EXIT_CODES) as exc:
+        code = next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
+        message = f"hypothesis failure: {exc}" if code == EXIT_HYPOTHESIS else str(exc)
+        return _fail(code, message)
 
 
 def console_main() -> None:

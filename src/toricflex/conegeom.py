@@ -60,15 +60,23 @@ class QuotientGroup:
         return not self.invariant_factors
 
 
+def check_ray_indices(cone, ray_count: int, error: type[Exception]) -> Cone:
+    """Return the cone as a tuple after checking that it names distinct rays.
+
+    Each index must be a plain int (not bool) in range(ray_count), and no
+    index may repeat; a violation raises the caller's exception class.
+    """
+    c = tuple(cone)
+    for idx in c:
+        if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < ray_count:
+            raise error(f"ray index {idx!r} out of range for fan with {ray_count} rays")
+    if len(set(c)) != len(c):
+        raise error(f"cone {c} repeats a ray index")
+    return c
+
+
 def _generators(f: "Fan", cone) -> tuple[Vector, ...]:
-    gens = []
-    for idx in cone:
-        if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < len(f.rays):
-            raise BadIndexError(
-                f"ray index {idx!r} out of range for fan with {len(f.rays)} rays"
-            )
-        gens.append(f.rays[idx])
-    return tuple(gens)
+    return tuple(f.rays[i] for i in check_ray_indices(cone, len(f.rays), BadIndexError))
 
 
 @lru_cache(maxsize=None)

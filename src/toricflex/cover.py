@@ -302,14 +302,9 @@ def _chart_findings(f: Fan, ch: ChartCertificate) -> list[str]:
         return out
 
     cone_set, added_set = set(c), set(added)
-    lattice = face_lattice(cprime)
-    for face, dim in lattice.faces:
-        if dim <= 1 and not _in_extension_skeleton(face, cone_set, added_set):
-            out.append(f"{tag}: edge {face} of the extended cone is not retained")
-
     expected = {
         face: orbit_codim(face)
-        for face, _ in lattice.faces
+        for face, _ in face_lattice(cprime).faces
         if not _in_extension_skeleton(face, cone_set, added_set)
     }
     listed: dict[Cone, int] = {}
@@ -591,15 +586,21 @@ def certificate_from_dict(doc) -> CoverCertificate:
 
 
 def certificate_to_json(cert: CoverCertificate, pretty: bool = True) -> str:
+    """Serialize a certificate; CertificateFormatError if a number is too long."""
     doc = certificate_to_dict(cert)
-    if pretty:
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+    try:
+        if pretty:
+            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+    except ValueError as exc:
+        raise CertificateFormatError(f"certificate cannot be written as JSON: {exc}") from exc
 
 
 def certificate_from_json(text: str) -> CoverCertificate:
+    # As in fan_from_json: ValueError covers malformed text and overlong
+    # integers, RecursionError deep nesting.
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CertificateFormatError(f"certificate is not valid JSON: {exc}") from exc
     return certificate_from_dict(doc)

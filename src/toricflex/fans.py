@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .conegeom import Cone, cone_contains
+from .conegeom import Cone, check_ray_indices, cone_contains
 from .errors import (
     BadConeError,
     BadIndexError,
@@ -100,12 +100,7 @@ def make_fan(ambient_rank, rays, max_cones) -> Fan:
 
     canon_cones: list[Cone] = []
     for cone in max_cones:
-        c = tuple(cone)
-        for idx in c:
-            if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < len(canon_rays):
-                raise InvalidFanError(f"maximal cone {c} has a bad ray index {idx!r}")
-        if len(set(c)) != len(c):
-            raise InvalidFanError(f"maximal cone {c} repeats a ray index")
+        c = check_ray_indices(cone, len(canon_rays), InvalidFanError)
         mapped = tuple(sorted(remap[i] for i in c))
         if mapped:
             gens = IntMatrix.from_rows([canon_rays[i] for i in mapped])
@@ -116,21 +111,9 @@ def make_fan(ambient_rank, rays, max_cones) -> Fan:
     return Fan(ambient_rank=ambient_rank, rays=canon_rays, max_cones=tuple(canon_cones))
 
 
-def _check_cone(f: Fan, cone) -> Cone:
-    c = tuple(cone)
-    for idx in c:
-        if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < len(f.rays):
-            raise BadIndexError(
-                f"ray index {idx!r} out of range for fan with {len(f.rays)} rays"
-            )
-    if len(set(c)) != len(c):
-        raise BadIndexError(f"cone {c} repeats a ray index")
-    return c
-
-
 def cone_dim(f: Fan, cone) -> int:
     """Dimension of the cone spanned by the indexed rays (0 for the zero cone)."""
-    c = _check_cone(f, cone)
+    c = check_ray_indices(cone, len(f.rays), BadIndexError)
     if not c:
         return 0
     return rank(IntMatrix.from_rows([f.rays[i] for i in c]))
@@ -138,7 +121,7 @@ def cone_dim(f: Fan, cone) -> int:
 
 def is_smooth_cone(f: Fan, cone) -> bool:
     """Whether the indexed rays extend to a basis of the ambient lattice."""
-    c = _check_cone(f, cone)
+    c = check_ray_indices(cone, len(f.rays), BadIndexError)
     if not c:
         return True
     return extends_to_z_basis([f.rays[i] for i in c], f.ambient_rank)
@@ -309,15 +292,7 @@ def star_subdivision(f: Fan, cone) -> Fan:
     replaced by the cones obtained by swapping one face generator for the
     new ray; the result is returned in canonical form.
     """
-    c = tuple(cone)
-    for idx in c:
-        if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < len(f.rays):
-            raise BadConeError(
-                f"ray index {idx!r} out of range for fan with {len(f.rays)} rays"
-            )
-    if len(set(c)) != len(c):
-        raise BadConeError(f"cone {c} repeats a ray index")
-    c = tuple(sorted(c))
+    c = tuple(sorted(check_ray_indices(cone, len(f.rays), BadConeError)))
     if len(c) < 2:
         raise BadConeError(
             f"cone {c} has dimension {len(c)}; star subdivision needs dimension at least 2"
@@ -460,16 +435,23 @@ def fan_from_dict(doc) -> Fan:
 
 
 def fan_to_json(f: Fan, pretty: bool = True) -> str:
+    """Serialize a fan; FanFormatError if an entry is too long to write."""
     doc = fan_to_dict(f)
-    if pretty:
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+    try:
+        if pretty:
+            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+    except ValueError as exc:
+        raise FanFormatError(f"fan cannot be written as JSON: {exc}") from exc
 
 
 def fan_from_json(text: str) -> Fan:
+    # json.loads raises ValueError for malformed text and for integers
+    # longer than the interpreter's conversion limit, and RecursionError
+    # for deep nesting.
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FanFormatError(f"fan document is not valid JSON: {exc}") from exc
     return fan_from_dict(doc)
 

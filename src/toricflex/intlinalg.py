@@ -197,39 +197,16 @@ def snf(m: IntMatrix) -> SnfResult:
     )
 
 
-def det(m: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise NonSquareError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    a[t], a[i] = a[i], a[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                num = a[i][j] * a[t][t] - a[i][t] * a[t][j]
-                q, r = divmod(num, prev)
-                if r:
-                    raise AssertionError("fraction-free step lost exactness")
-                a[i][j] = q
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]
+def _bareiss(m: IntMatrix) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination with row pivoting.
 
-
-def rank(m: IntMatrix) -> int:
-    """Rank over the rationals, computed without leaving the integers."""
+    Returns the rank and the last pivot with the sign of the row
+    permutation applied; for a square matrix of full rank that signed
+    pivot is the determinant.
+    """
     a = [list(row) for row in m.entries]
     nr, nc = m.rows, m.cols
+    sign = 1
     prev = 1
     r = 0
     for col in range(nc):
@@ -238,7 +215,9 @@ def rank(m: IntMatrix) -> int:
         pivot_row = next((i for i in range(r, nr) if a[i][col] != 0), None)
         if pivot_row is None:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            sign = -sign
         for i in range(r + 1, nr):
             for j in range(col + 1, nc):
                 num = a[i][j] * a[r][col] - a[i][col] * a[r][j]
@@ -249,7 +228,20 @@ def rank(m: IntMatrix) -> int:
             a[i][col] = 0
         prev = a[r][col]
         r += 1
-    return r
+    return r, sign * prev
+
+
+def det(m: IntMatrix) -> int:
+    """Determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise NonSquareError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
+    r, signed_pivot = _bareiss(m)
+    return signed_pivot if r == m.rows else 0
+
+
+def rank(m: IntMatrix) -> int:
+    """Rank over the rationals, computed without leaving the integers."""
+    return _bareiss(m)[0]
 
 
 def kernel_basis(m: IntMatrix) -> tuple[Vector, ...]:

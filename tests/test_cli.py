@@ -1,15 +1,24 @@
 """End-to-end command line tests driven through main(argv)."""
 
+import contextlib
+import copy
 import io
 import json
+import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricflex.cli import main
 from toricflex.cover import certificate_to_dict, certificate_to_json, build_cover
 from toricflex.fans import (
     fan_from_json,
+    fan_hirzebruch,
+    fan_product,
     fan_projective_space,
+    fan_punctured_affine,
     fan_to_json,
     make_fan,
     report_to_dict,
@@ -226,3 +235,185 @@ class TestParser:
     def test_unknown_flag(self, capsys):
         assert main(["validate", "--frobnicate"]) == 2
         capsys.readouterr()
+
+
+# Inputs that once escaped the exit-code contract as tracebacks with exit 1.
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+NOT_UTF8 = b'{"rank": 2, "rays": [[1, 0]], "max_cones": [[0]]} \xff\xfe'
+LONG_INT = b'{"rank": 2, "rays": [[' + b"7" * 5000 + b', 1]], "max_cones": [[0]]}'
+
+# A smooth fan whose charts have quotient order A^2 - 1, too long to write.
+_A = 10**2200 + 1
+LONG_QUOTIENT_FAN = json.dumps(
+    {"rank": 3, "rays": [[1, 0, 0], [0, _A, 1], [0, 1, _A]], "max_cones": [[0], [1], [2]]}
+)
+# A smooth cone whose star subdivision adds a ray too long to write.
+_B = 5 * 10**4299
+LONG_RAY_FAN = json.dumps({"rank": 2, "rays": [[_B, 1], [_B + 1, 1]], "max_cones": [[0, 1]]})
+
+
+def _hostile_cases():
+    """(files to write, argv, bytes on stdin) for each hostile case."""
+    for name, data in (("deep", DEEP_JSON), ("not-utf8", NOT_UTF8), ("long-int", LONG_INT)):
+        yield pytest.param(
+            {"in.json": data}, ["validate", "--input", "in.json"], None, id=f"validate-file-{name}"
+        )
+        yield pytest.param({}, ["validate"], data, id=f"validate-stdin-{name}")
+        yield pytest.param(
+            {"p2.json": P2_JSON.encode(), "cert.json": data},
+            ["verify", "--input", "p2.json", "--cert", "cert.json"],
+            None,
+            id=f"verify-cert-{name}",
+        )
+    yield pytest.param(
+        {"fan.json": LONG_QUOTIENT_FAN.encode()},
+        ["cover", "--input", "fan.json", "--output", "out.json"],
+        None,
+        id="cover-long-quotient",
+    )
+    yield pytest.param(
+        {"fan.json": LONG_RAY_FAN.encode()},
+        ["subdivide", "--input", "fan.json", "--cone", "0,1", "--output", "out.json"],
+        None,
+        id="subdivide-long-ray",
+    )
+
+
+@pytest.mark.parametrize("files, argv, stdin_bytes", _hostile_cases())
+def test_hostile_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files, argv, stdin_bytes):
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    if stdin_bytes is not None:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin_bytes), encoding="utf-8"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("toricflex: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def _json_values():
+    leaves = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 6),
+        st.floats(allow_nan=False),
+        st.text(max_size=3),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+        ),
+        max_leaves=6,
+    )
+
+
+def _paths(node, prefix=()):
+    """Every key path into a parsed JSON document, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, prefix + (i,))
+
+
+def _similar(node):
+    """Values of the same JSON type as node, so that more mutants still parse."""
+    if isinstance(node, bool):
+        return st.booleans()
+    if isinstance(node, int):
+        return st.integers(-3, 6)
+    if isinstance(node, str):
+        return st.text(max_size=3)
+    if isinstance(node, list) and node:
+        return st.lists(st.sampled_from(node), max_size=len(node) + 1)
+    return _json_values()
+
+
+def _mutate(data, doc):
+    """Replace or delete the value at one drawn path into the document."""
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    parent, node = None, doc
+    for key in path:
+        parent, node = node, node[key]
+    similar = _similar(node)
+    value = data.draw(st.one_of(similar, similar, similar, _json_values()))
+    if parent is None:
+        return value
+    if data.draw(st.integers(0, 3)) == 0:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _run_quietly(argv, stdin_text):
+    with (
+        mock.patch("sys.stdin", io.StringIO(stdin_text)),
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        return main(argv)
+
+
+CERTIFIED_FANS = {
+    "p2": fan_projective_space(2),
+    "punctured-a3": fan_punctured_affine(3),
+    "f2": fan_hirzebruch(2),
+    "p1xp1": fan_product(fan_projective_space(1), fan_projective_space(1)),
+}
+
+
+@pytest.fixture(scope="module")
+def certified_fan_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("certified")
+    files = {}
+    for name, fan in CERTIFIED_FANS.items():
+        path = root / f"{name}.json"
+        path.write_text(fan_to_json(fan), encoding="utf-8")
+        files[name] = (str(path), certificate_to_dict(build_cover(fan)))
+    return files
+
+
+@settings(deadline=None)
+@given(
+    data=st.data(),
+    command=st.sampled_from(
+        [
+            ["validate"],
+            ["analyze"],
+            ["cover"],
+            ["subdivide", "--cone", "0,1"],
+            ["subdivide", "--cone", "1,2,0"],
+            ["subdivide", "--cone", "0"],
+            ["subdivide", "--cone", "3,x"],
+        ]
+    ),
+)
+def test_random_fans_stay_within_the_exit_codes(data, command):
+    n = data.draw(st.integers(1, 3))
+    primitive = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(
+        lambda v: math.gcd(*v) == 1
+    )
+    rays = data.draw(st.lists(primitive, min_size=1, max_size=5, unique_by=tuple))
+    cone = st.lists(st.integers(0, len(rays) - 1), min_size=1, max_size=n, unique=True)
+    doc = {"rank": n, "rays": rays, "max_cones": data.draw(st.lists(cone, min_size=1, max_size=5))}
+    for _ in range(data.draw(st.integers(0, 2))):
+        doc = _mutate(data, doc)
+    assert _run_quietly(command, json.dumps(doc)) in range(5)
+
+
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(CERTIFIED_FANS)), data=st.data())
+def test_mutated_certificates_stay_within_the_exit_codes(certified_fan_files, name, data):
+    fan_path, cert = certified_fan_files[name]
+    doc = copy.deepcopy(cert)
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(data, doc)
+    code = _run_quietly(["verify", "--input", fan_path, "--cert", "-"], json.dumps(doc))
+    assert code in range(5)
