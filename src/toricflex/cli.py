@@ -67,8 +67,10 @@ EXIT_CODES = {
 
 
 def _read_text(path: str) -> str:
+    # Standard input is decoded like a file, as strict UTF-8 whatever the
+    # locale, so the same bytes give the same error from either.
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read().decode("utf-8")
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 

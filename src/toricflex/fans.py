@@ -29,9 +29,9 @@ from .intlinalg import (
     IntMatrix,
     Vector,
     extends_to_z_basis,
-    kernel_basis,
-    rank,
+    positive_circuit,
     primitivize,
+    rank,
 )
 
 
@@ -173,12 +173,16 @@ def _pair_finding(f: Fan, ia: int, ib: int) -> str | None:
 
     First a cheap membership test with a pointed message: a ray of one cone
     lying inside the other without being shared.  Crossings without any ray
-    inside the other cone exist, so the decisive test enumerates minimal
-    rational dependencies (circuits) among the rays of the first cone and
-    the negated rays of the second.  A circuit with uniform coefficient
-    signs equates a positive combination from each side, i.e. exhibits a
-    common interior point; the intersection condition holds exactly when
-    every such circuit stays within the shared rays.
+    inside the other cone exist, so the decisive test looks for a rational
+    dependency among the rays of the first cone and the negated rays of the
+    second with all coefficients positive.  Such a dependency equates a
+    positive combination from each side, i.e. exhibits a common point; the
+    intersection condition holds exactly when every one of them stays
+    within the shared rays (the separation lemma).  When the rays of both
+    cones together are independent, the only dependencies pair a shared
+    ray with its negation, so the pair is fine.  Otherwise an exact integer
+    LP (intlinalg.positive_circuit) finds one outside the shared rays if
+    there is one, and the diagnostic names its rays.
     """
     ca, cb = f.max_cones[ia], f.max_cones[ib]
     shared = set(ca) & set(cb)
@@ -194,32 +198,22 @@ def _pair_finding(f: Fan, ia: int, ib: int) -> str | None:
                 f"ray {idx} {f.rays[idx]} of maximal cone {ca} lies in "
                 f"maximal cone {cb} but is not a shared ray"
             )
+    union = sorted(set(ca) | set(cb))
+    if rank(IntMatrix.from_rows([f.rays[i] for i in union])) == len(union):
+        return None
     cols = [f.rays[i] for i in ca] + [tuple(-x for x in f.rays[i]) for i in cb]
-    owners = [("first", i) for i in ca] + [("second", i) for i in cb]
-    shared_cols = {j for j, (_, idx) in enumerate(owners) if idx in shared}
-    n = f.ambient_rank
-    for size in range(2, min(len(cols), n + 1) + 1):
-        for subset in combinations(range(len(cols)), size):
-            if all(j in shared_cols for j in subset):
-                continue
-            m = IntMatrix.from_rows(
-                [[cols[j][row] for j in subset] for row in range(n)]
-            )
-            kern = kernel_basis(m)
-            if len(kern) != 1:
-                continue
-            gen = kern[0]
-            if any(x == 0 for x in gen):
-                continue
-            if all(x > 0 for x in gen) or all(x < 0 for x in gen):
-                left = sorted({owners[j][1] for j in subset if owners[j][0] == "first"})
-                right = sorted({owners[j][1] for j in subset if owners[j][0] == "second"})
-                return (
-                    f"maximal cones {ca} and {cb} overlap beyond their shared rays: "
-                    f"a positive combination of rays {left} of the first equals "
-                    f"one of rays {right} of the second"
-                )
-    return None
+    weights = [int(i not in shared) for i in ca + cb]
+    m = IntMatrix.from_rows(zip(*cols))
+    support = positive_circuit(m, weights)
+    if support is None:
+        return None
+    left = [ca[j] for j in support if j < len(ca)]
+    right = [cb[j - len(ca)] for j in support if j >= len(ca)]
+    return (
+        f"maximal cones {ca} and {cb} overlap beyond their shared rays: "
+        f"a positive combination of rays {left} of the first equals "
+        f"one of rays {right} of the second"
+    )
 
 
 def validate_fan(f: Fan) -> FanReport:

@@ -256,6 +256,77 @@ def kernel_basis(m: IntMatrix) -> tuple[Vector, ...]:
     return tuple(res.v.column(j) for j in range(r, m.cols))
 
 
+def positive_circuit(m: IntMatrix, weights) -> tuple[int, ...] | None:
+    """Support of a vertex of {z >= 0 : m @ z == 0, weights . z == 1}, or None.
+
+    The support S, a sorted tuple of column indices, is a circuit of the
+    columns of m (a minimal dependent set) whose kernel generator has all
+    entries of one sign, and S meets a column of nonzero weight.  At a
+    vertex z the columns of m stacked on weights are independent on S.  If
+    the kernel of m restricted to S had dimension 2 or more, it would hold
+    a nonzero y with weights . y == 0, a dependency among those stacked
+    columns; so that kernel is the line through z restricted to S.  Its
+    entries are all positive, so no proper subset of S is dependent, and
+    weights . z == 1 rules out a support of weight-0 columns only.
+    Conversely, for nonnegative weights, a sign-uniform circuit meeting a
+    column of positive weight scales to a feasible point, and a feasible
+    polyhedron inside the nonnegative orthant has a vertex: the result is
+    None exactly when no such circuit exists.
+
+    Phase one of the simplex method finds the vertex.  Each row gets an
+    artificial variable, basic at the start; their columns are not stored,
+    because one that leaves the basis is never let back in.  Bland's rule
+    (lowest index enters, ties in the ratio test leave by lowest basic
+    index) rules out cycling.  The tableau is kept as integers scaled by
+    the current basis determinant, and each pivot divides by the previous
+    determinant exactly, as in Bareiss elimination.
+    """
+    w = tuple(_check_int(x) for x in weights)
+    nc = m.cols
+    if len(w) != nc:
+        raise DimensionMismatchError(f"expected {nc} weights, got {len(w)}")
+    # Row i reads: sum_j rows[i][j] * z_j + artificial_i == rows[i][-1].
+    rows = [list(row) + [0] for row in m.entries] + [list(w) + [1]]
+    basis = [nc + i for i in range(len(rows))]
+    # Reduced costs of the artificials' sum, then minus its current value.
+    cost = [-sum(col) for col in zip(*rows)]
+    denom = 1
+    while True:
+        enter = next((j for j in range(nc) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i, row in enumerate(rows):
+            if row[enter] <= 0:
+                continue
+            if leave is None:
+                leave = i
+                continue
+            best = rows[leave]
+            # Compare the ratios row[-1] / row[enter] and best[-1] / best[enter].
+            here, there = row[-1] * best[enter], best[-1] * row[enter]
+            if here < there or (here == there and basis[i] < basis[leave]):
+                leave = i
+        if leave is None:
+            raise AssertionError("phase one is bounded below by 0")
+        pivot_row = rows[leave]
+        p = pivot_row[enter]
+        for row in rows + [cost]:
+            if row is pivot_row:
+                continue
+            f = row[enter]
+            for j, (x, y) in enumerate(zip(row, pivot_row)):
+                q, rem = divmod(p * x - f * y, denom)
+                if rem:
+                    raise AssertionError("fraction-free step lost exactness")
+                row[j] = q
+        denom = p
+        basis[leave] = enter
+    if cost[-1] != 0:
+        return None
+    return tuple(sorted(j for j, row in zip(basis, rows) if j < nc and row[-1] != 0))
+
+
 def adjugate(m: IntMatrix) -> IntMatrix:
     """Adjugate matrix: m @ adjugate(m) == det(m) * identity."""
     if m.rows != m.cols:

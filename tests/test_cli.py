@@ -64,7 +64,8 @@ class TestValidate:
         assert capsys.readouterr().err.startswith("toricflex: ")
 
     def test_stdin_input(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(P2_JSON))
+        stdin = io.TextIOWrapper(io.BytesIO(P2_JSON.encode()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
         assert main(["validate"]) == 0
         assert capsys.readouterr().out.strip() == (
             "valid, smooth, nondegenerate, complete"
@@ -117,7 +118,8 @@ class TestCoverAndVerify:
         fan_path = write(tmp_path, "pa2.json", fan_to_json(make_fan(2, [(1, 0), (0, 1)], [(0,), (1,)])))
         assert main(["cover", "--input", fan_path]) == 0
         cert_text = capsys.readouterr().out
-        monkeypatch.setattr("sys.stdin", io.StringIO(cert_text))
+        stdin = io.TextIOWrapper(io.BytesIO(cert_text.encode()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
         assert main(["verify", "--input", fan_path, "--cert", "-"]) == 0
 
     def test_cover_degenerate_fan(self, tmp_path, capsys):
@@ -294,6 +296,18 @@ def test_hostile_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files, ar
     assert not (tmp_path / "out.json").exists()
 
 
+def test_stdin_is_decoded_as_utf8_whatever_the_locale(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "in.json"
+    path.write_bytes(NOT_UTF8)
+    assert main(["validate", "--input", str(path)]) == 2
+    from_file = capsys.readouterr().err
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="latin-1"))
+    assert main(["validate"]) == 2
+    from_stdin = capsys.readouterr().err
+    assert "'utf-8' codec can't decode" in from_stdin
+    assert from_stdin == from_file
+
+
 def _json_values():
     leaves = st.one_of(
         st.none(),
@@ -353,8 +367,9 @@ def _mutate(data, doc):
 
 
 def _run_quietly(argv, stdin_text):
+    stdin = io.TextIOWrapper(io.BytesIO(stdin_text.encode()), encoding="utf-8")
     with (
-        mock.patch("sys.stdin", io.StringIO(stdin_text)),
+        mock.patch("sys.stdin", stdin),
         contextlib.redirect_stdout(io.StringIO()),
         contextlib.redirect_stderr(io.StringIO()),
     ):

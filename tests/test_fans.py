@@ -1,9 +1,11 @@
 """Fan construction, validation, subdivision, and serialization tests."""
 
+import math
+import re
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricflex.errors import (
@@ -41,6 +43,8 @@ from toricflex.fans import (
     torus_factor_rank,
     validate_fan,
 )
+from toricflex.fans import _pair_finding
+from toricflex.intlinalg import IntMatrix, kernel_basis
 
 P2_DIGEST = "41837965ad3f42ad087b653b59d3eed577ce290ed5a871c7c06f3a6658ed06ce"
 
@@ -58,6 +62,109 @@ def corpus():
         fan_punctured_affine(2),
         fan_punctured_affine(4),
     ]
+
+
+def circuit_scan_finding(f, ia, ib):
+    """Overlap diagnostic by the exhaustive circuit scan, the slow oracle.
+
+    Enumerates every subset of 2 to n+1 columns of the rays of the first
+    cone and the negated rays of the second, one SNF each, and reports the
+    first circuit whose kernel generator has one sign and which is not made
+    only of shared rays.  Exponential in the rank, so it runs in tests only.
+    """
+    ca, cb = f.max_cones[ia], f.max_cones[ib]
+    shared = set(ca) & set(cb)
+    cols = [f.rays[i] for i in ca] + [tuple(-x for x in f.rays[i]) for i in cb]
+    owners = [("first", i) for i in ca] + [("second", i) for i in cb]
+    shared_cols = {j for j, (_, idx) in enumerate(owners) if idx in shared}
+    n = f.ambient_rank
+    for size in range(2, min(len(cols), n + 1) + 1):
+        for subset in combinations(range(len(cols)), size):
+            if all(j in shared_cols for j in subset):
+                continue
+            m = IntMatrix.from_rows([[cols[j][row] for j in subset] for row in range(n)])
+            kern = kernel_basis(m)
+            if len(kern) != 1:
+                continue
+            gen = kern[0]
+            if any(x == 0 for x in gen):
+                continue
+            if all(x > 0 for x in gen) or all(x < 0 for x in gen):
+                left = sorted({owners[j][1] for j in subset if owners[j][0] == "first"})
+                right = sorted({owners[j][1] for j in subset if owners[j][0] == "second"})
+                return (
+                    f"maximal cones {ca} and {cb} overlap beyond their shared rays: "
+                    f"a positive combination of rays {left} of the first equals "
+                    f"one of rays {right} of the second"
+                )
+    return None
+
+
+def checked_pairs(f):
+    """Index pairs of maximal cones that validate_fan hands to _pair_finding."""
+    sets = [frozenset(c) for c in f.max_cones]
+    return [
+        (a, b)
+        for a, b in combinations(range(len(sets)), 2)
+        if not (sets[a] <= sets[b] or sets[b] <= sets[a])
+    ]
+
+
+SMOOTH_BASES = [
+    fan_projective_space(2),
+    fan_projective_space(3),
+    fan_projective_space(4),
+    fan_hirzebruch(0),
+    fan_hirzebruch(3),
+    fan_product(fan_projective_space(1), fan_projective_space(2)),
+    fan_product(fan_projective_space(1), fan_projective_space(3)),
+    fan_product(fan_hirzebruch(2), fan_affine_space(2)),
+]
+
+
+def _primitive_vectors(n):
+    return st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(
+        lambda v: math.gcd(*v) == 1
+    )
+
+
+@st.composite
+def random_fans(draw):
+    """Fans of rank at most 4, valid and invalid.
+
+    Either random rays with random cones (mostly invalid), or a few
+    maximal cones of a star subdivision of a smooth fan (valid),
+    possibly with one ray moved to a random place (often a crossing that
+    no ray containment reveals).
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        rays = draw(st.lists(_primitive_vectors(n), min_size=2, max_size=6, unique_by=tuple))
+        cone = st.lists(st.integers(0, len(rays) - 1), min_size=1, max_size=n, unique=True)
+        cones = draw(st.lists(cone, min_size=2, max_size=4))
+    else:
+        f = draw(st.sampled_from(SMOOTH_BASES))
+        for _ in range(draw(st.integers(0, 2))):
+            faces = sorted({sub for mc in f.max_cones for sub in combinations(mc, 2)})
+            f = star_subdivision(f, draw(st.sampled_from(faces)))
+        n, rays = f.ambient_rank, list(f.rays)
+        cones = draw(
+            st.lists(st.sampled_from(f.max_cones), min_size=2, max_size=4, unique=True)
+        )
+        if draw(st.booleans()):
+            moved = draw(_primitive_vectors(n))
+            assume(tuple(moved) not in rays)
+            rays[draw(st.integers(0, len(rays) - 1))] = tuple(moved)
+    try:
+        return make_fan(n, rays, cones)
+    except NotSimplicialError:
+        assume(False)
+
+
+OVERLAP = re.compile(
+    r"overlap beyond their shared rays: a positive combination of rays "
+    r"\[([\d, ]*)\] of the first equals one of rays \[([\d, ]*)\] of the second"
+)
 
 
 class TestMakeFan:
@@ -179,6 +286,46 @@ class TestValidateFan:
     def test_shared_face_pair_is_valid(self):
         f = make_fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
         assert validate_fan(f).valid
+
+    def test_constructor_corpus_agrees_with_circuit_scan(self):
+        for f in corpus():
+            for a, b in checked_pairs(f):
+                assert _pair_finding(f, a, b) is None
+                assert circuit_scan_finding(f, a, b) is None
+
+    @settings(deadline=None, max_examples=100)
+    @given(random_fans())
+    def test_pair_verdict_agrees_with_circuit_scan(self, f):
+        for a, b in checked_pairs(f):
+            expected = circuit_scan_finding(f, a, b) is None
+            assert (_pair_finding(f, a, b) is None) == expected, (f, a, b)
+
+    @settings(deadline=None, max_examples=150)
+    @given(random_fans())
+    def test_overlap_witness_is_a_sign_uniform_circuit(self, f):
+        for a, b in checked_pairs(f):
+            finding = _pair_finding(f, a, b)
+            match = OVERLAP.search(finding or "")
+            if match is None:
+                continue
+            left, right = ([int(i) for i in g.split(",") if i] for g in match.groups())
+            cols = [f.rays[i] for i in left] + [tuple(-x for x in f.rays[i]) for i in right]
+            kern = kernel_basis(IntMatrix.from_rows(zip(*cols)))
+            assert len(kern) == 1, finding
+            assert all(x > 0 for x in kern[0]) or all(x < 0 for x in kern[0]), finding
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            fan_projective_space(6),
+            fan_product(fan_projective_space(2), fan_projective_space(3)),
+            fan_product(fan_projective_space(3), fan_projective_space(3)),
+        ],
+        ids=["P6", "P2xP3", "P3xP3"],
+    )
+    def test_high_rank_fans_validate(self, f):
+        report = validate_fan(f)
+        assert report.valid and report.complete, report.diagnostics
 
 
 class TestPredicates:

@@ -20,6 +20,7 @@ from toricflex.intlinalg import (
     det,
     extends_to_z_basis,
     kernel_basis,
+    positive_circuit,
     primitivize,
     rank,
     snf,
@@ -211,6 +212,47 @@ class TestKernel:
         basis = kernel_basis(m)
         if len(basis) == 1:
             assert math.gcd(*basis[0]) == 1
+
+
+def positive_circuits(m: IntMatrix, weights) -> set[tuple[int, ...]]:
+    """Every column subset that is a circuit with a one-signed kernel
+    generator and a column of nonzero weight, found by enumeration."""
+    found = set()
+    for size in range(1, m.cols + 1):
+        for cols in combinations(range(m.cols), size):
+            sub = IntMatrix.from_rows([[row[j] for j in cols] for row in m.entries])
+            kern = kernel_basis(sub)
+            if len(kern) != 1 or not any(weights[j] for j in cols):
+                continue
+            if all(x > 0 for x in kern[0]) or all(x < 0 for x in kern[0]):
+                found.add(cols)
+    return found
+
+
+class TestPositiveCircuit:
+    def test_examples(self):
+        assert positive_circuit(IntMatrix.from_rows([[1, -1]]), [1, 1]) == (0, 1)
+        assert positive_circuit(IntMatrix.from_rows([[1, 1]]), [1, 1]) is None
+        assert positive_circuit(IntMatrix.from_rows([[1, -1]]), [0, 0]) is None
+        # The zero-weight pair (1,0), (-1,0) is skipped for the one circuit
+        # (1,0) + (0,1) + (-1,-1) == 0 that meets a weighted column.
+        m = IntMatrix.from_rows([[1, -1, 0, -1], [0, 0, 1, -1]])
+        assert positive_circuit(m, [0, 0, 1, 1]) == (0, 2, 3)
+
+    def test_weight_count_must_match(self):
+        with pytest.raises(DimensionMismatchError):
+            positive_circuit(IntMatrix.from_rows([[1, -1]]), [1])
+
+    @settings(deadline=None, max_examples=200)
+    @given(int_matrices(max_dim=5, bound=2), st.data())
+    def test_matches_enumeration(self, m, data):
+        weights = data.draw(st.lists(st.integers(0, 2), min_size=m.cols, max_size=m.cols))
+        support = positive_circuit(m, weights)
+        circuits = positive_circuits(m, weights)
+        if support is None:
+            assert not circuits
+        else:
+            assert support in circuits
 
 
 class TestAdjugate:
