@@ -10,7 +10,6 @@ goes to stderr.  The path "-" means the standard stream.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .cover import (
@@ -42,6 +41,7 @@ from .fans import (
     star_subdivision,
     validate_fan,
 )
+from .jsonfmt import pretty_json
 
 EXIT_OK = 0
 EXIT_INVALID_FAN = 1
@@ -115,7 +115,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     fan = _load_fan(args.input)
     report = validate_fan(fan)
-    _write_text(args.output, json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
+    _write_text(args.output, pretty_json(report_to_dict(report)))
     return EXIT_OK if report.valid else EXIT_INVALID_FAN
 
 

@@ -79,7 +79,9 @@ def _generators(f: "Fan", cone) -> tuple[Vector, ...]:
     return tuple(f.rays[i] for i in check_ray_indices(cone, len(f.rays), BadIndexError))
 
 
-@lru_cache(maxsize=None)
+# Bounded so a long-lived process does not keep every cone it has seen;
+# one validation needs one frame per maximal cone it tests membership in.
+@lru_cache(maxsize=1024)
 def _span_frame(gens: tuple[Vector, ...]) -> tuple[IntMatrix, int, tuple[Vector, ...]]:
     """Coordinate frame adapted to the span of k independent generators.
 

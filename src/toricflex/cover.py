@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .conegeom import (
     Cone,
@@ -43,6 +44,7 @@ from .fans import (
     validate_fan,
 )
 from .intlinalg import IntMatrix, rank
+from .jsonfmt import pretty_json
 
 KIND_AFFINE_SPACE = "AffineSpace"
 KIND_FLEXIBLE_COMPLEMENT = "FlexibleComplement"
@@ -307,31 +309,12 @@ def _chart_findings(f: Fan, ch: ChartCertificate) -> list[str]:
         for face, _ in face_lattice(cprime).faces
         if not _in_extension_skeleton(face, cone_set, added_set)
     }
-    listed: dict[Cone, int] = {}
-    for face, codim in ch.complement_faces:
-        key = tuple(face)
-        if key in listed:
-            out.append(f"{tag}: face {key} listed more than once in the complement")
-        listed[key] = codim
-    for face, codim in expected.items():
-        if face not in listed:
-            out.append(f"{tag}: face {face} of the extended cone unaccounted")
-        elif listed[face] != codim:
-            out.append(
-                f"{tag}: face {face} has codimension {codim}, "
-                f"certificate says {listed[face]}"
-            )
-    for face in listed:
-        if face not in expected:
-            out.append(
-                f"{tag}: face {face} is retained by the chart, not removed"
-            )
-    for face, codim in ch.complement_faces:
-        if codim < 2:
-            out.append(
-                f"{tag}: complement face {tuple(face)} has codimension {codim}, "
-                f"below the required 2"
-            )
+    # A list equal to the expected one, in the same order, passes every
+    # per-face check below: the expected faces are distinct, each has at
+    # least two rays, and each codimension is the face's size.  So the
+    # checks run only to word the findings for a list that differs.
+    if tuple(ch.complement_faces) != tuple(expected.items()):
+        out.extend(_complement_findings(tag, ch.complement_faces, expected))
     expected_min = min(expected.values()) if expected else n + 1
     if ch.min_complement_codim != expected_min:
         out.append(
@@ -351,6 +334,37 @@ def _chart_findings(f: Fan, ch: ChartCertificate) -> list[str]:
             f"{tag}: quotient order {ch.quotient.order} differs from "
             f"recomputed {actual_q.order}"
         )
+    return out
+
+
+def _complement_findings(tag: str, faces, expected: dict[Cone, int]) -> list[str]:
+    """Every disagreement between a listed complement and the expected one."""
+    out: list[str] = []
+    listed: dict[Cone, int] = {}
+    for face, codim in faces:
+        key = tuple(face)
+        if key in listed:
+            out.append(f"{tag}: face {key} listed more than once in the complement")
+        listed[key] = codim
+    for face, codim in expected.items():
+        if face not in listed:
+            out.append(f"{tag}: face {face} of the extended cone unaccounted")
+        elif listed[face] != codim:
+            out.append(
+                f"{tag}: face {face} has codimension {codim}, "
+                f"certificate says {listed[face]}"
+            )
+    for face in listed:
+        if face not in expected:
+            out.append(
+                f"{tag}: face {face} is retained by the chart, not removed"
+            )
+    for face, codim in faces:
+        if codim < 2:
+            out.append(
+                f"{tag}: complement face {tuple(face)} has codimension {codim}, "
+                f"below the required 2"
+            )
     return out
 
 
@@ -505,7 +519,37 @@ def _chart_from_dict(doc, position: int) -> ChartCertificate:
     faces = doc["complement_faces"]
     if not isinstance(faces, list):
         raise CertificateFormatError(f"{where}: complement_faces must be a list")
-    parsed_faces = []
+    return ChartCertificate(
+        cone_index=_require_int(doc, "cone_index", where),
+        kind=doc["kind"],
+        k=_require_int(doc, "k", where),
+        n=_require_int(doc, "n", where),
+        added_ray_indices=_require_int_list(doc, "added_ray_indices", where),
+        cprime_ray_indices=_require_int_list(doc, "cprime_ray_indices", where),
+        quotient=QuotientGroup(
+            invariant_factors=_require_int_list(quotient, "invariant_factors", where),
+            order=_require_int(quotient, "order", where),
+        ),
+        complement_faces=_complement_from_list(faces, where),
+        min_complement_codim=_require_int(doc, "min_complement_codim", where),
+    )
+
+
+def _complement_from_list(faces: list, where: str) -> tuple[tuple[Cone, int], ...]:
+    # One scan by type over all entries accepts the usual document: each
+    # entry a two-item list of a list of plain ints and a plain int.  Any
+    # other document takes the per-entry check, which decides acceptance
+    # (bools are refused, int and list subclasses accepted) and the message.
+    if set(map(type, faces)) <= {list} and set(map(len, faces)) <= {2}:
+        rays = [entry[0] for entry in faces]
+        codims = [entry[1] for entry in faces]
+        if (
+            set(map(type, rays)) <= {list}
+            and set(map(type, codims)) <= {int}
+            and set(map(type, chain.from_iterable(rays))) <= {int}
+        ):
+            return tuple(zip(map(tuple, rays), codims))
+    parsed = []
     for entry in faces:
         if (
             not isinstance(entry, list)
@@ -518,21 +562,8 @@ def _chart_from_dict(doc, position: int) -> ChartCertificate:
             raise CertificateFormatError(
                 f"{where}: complement_faces entries must be [ray index list, codim]"
             )
-        parsed_faces.append((tuple(entry[0]), entry[1]))
-    return ChartCertificate(
-        cone_index=_require_int(doc, "cone_index", where),
-        kind=doc["kind"],
-        k=_require_int(doc, "k", where),
-        n=_require_int(doc, "n", where),
-        added_ray_indices=_require_int_list(doc, "added_ray_indices", where),
-        cprime_ray_indices=_require_int_list(doc, "cprime_ray_indices", where),
-        quotient=QuotientGroup(
-            invariant_factors=_require_int_list(quotient, "invariant_factors", where),
-            order=_require_int(quotient, "order", where),
-        ),
-        complement_faces=tuple(parsed_faces),
-        min_complement_codim=_require_int(doc, "min_complement_codim", where),
-    )
+        parsed.append((tuple(entry[0]), entry[1]))
+    return tuple(parsed)
 
 
 def certificate_from_dict(doc) -> CoverCertificate:
@@ -590,7 +621,7 @@ def certificate_to_json(cert: CoverCertificate, pretty: bool = True) -> str:
     doc = certificate_to_dict(cert)
     try:
         if pretty:
-            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            return pretty_json(doc)
         return json.dumps(doc, separators=(",", ":"), sort_keys=True)
     except ValueError as exc:
         raise CertificateFormatError(f"certificate cannot be written as JSON: {exc}") from exc

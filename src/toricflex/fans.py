@@ -33,6 +33,7 @@ from .intlinalg import (
     primitivize,
     rank,
 )
+from .jsonfmt import pretty_json
 
 
 @dataclass(frozen=True)
@@ -171,21 +172,32 @@ def is_complete(f: Fan) -> bool:
 def _pair_finding(f: Fan, ia: int, ib: int) -> str | None:
     """Diagnostic if two maximal cones intersect beyond their shared face.
 
-    First a cheap membership test with a pointed message: a ray of one cone
-    lying inside the other without being shared.  Crossings without any ray
-    inside the other cone exist, so the decisive test looks for a rational
-    dependency among the rays of the first cone and the negated rays of the
-    second with all coefficients positive.  Such a dependency equates a
-    positive combination from each side, i.e. exhibits a common point; the
-    intersection condition holds exactly when every one of them stays
-    within the shared rays (the separation lemma).  When the rays of both
-    cones together are independent, the only dependencies pair a shared
-    ray with its negation, so the pair is fine.  Otherwise an exact integer
-    LP (intlinalg.positive_circuit) finds one outside the shared rays if
-    there is one, and the diagnostic names its rays.
+    The test looks for a rational dependency among the rays of the first
+    cone and the negated rays of the second with all coefficients
+    positive.  Such a dependency equates a positive combination from each
+    side, i.e. exhibits a common point; the intersection condition holds
+    exactly when every one of them stays within the shared rays (the
+    separation lemma).  When the rays of both cones together are
+    independent, the only dependencies pair a shared ray with its
+    negation, so the pair is fine.  Otherwise an exact integer LP
+    (intlinalg.positive_circuit) finds one outside the shared rays if
+    there is one.  Only then is the membership test run, to give the more
+    pointed message when a ray of one cone lies inside the other without
+    being shared; such a ray makes the rays dependent and its coefficients
+    are a feasible point of the LP, so the test never fires on a pair the
+    LP passes.  Otherwise the diagnostic names the rays of the circuit.
     """
     ca, cb = f.max_cones[ia], f.max_cones[ib]
     shared = set(ca) & set(cb)
+    union = sorted(set(ca) | set(cb))
+    if rank(IntMatrix.from_rows([f.rays[i] for i in union])) == len(union):
+        return None
+    cols = [f.rays[i] for i in ca] + [tuple(-x for x in f.rays[i]) for i in cb]
+    weights = [int(i not in shared) for i in ca + cb]
+    m = IntMatrix.from_rows(zip(*cols))
+    support = positive_circuit(m, weights)
+    if support is None:
+        return None
     for idx in cb:
         if idx not in shared and cone_contains(f, ca, f.rays[idx]):
             return (
@@ -198,15 +210,6 @@ def _pair_finding(f: Fan, ia: int, ib: int) -> str | None:
                 f"ray {idx} {f.rays[idx]} of maximal cone {ca} lies in "
                 f"maximal cone {cb} but is not a shared ray"
             )
-    union = sorted(set(ca) | set(cb))
-    if rank(IntMatrix.from_rows([f.rays[i] for i in union])) == len(union):
-        return None
-    cols = [f.rays[i] for i in ca] + [tuple(-x for x in f.rays[i]) for i in cb]
-    weights = [int(i not in shared) for i in ca + cb]
-    m = IntMatrix.from_rows(zip(*cols))
-    support = positive_circuit(m, weights)
-    if support is None:
-        return None
     left = [ca[j] for j in support if j < len(ca)]
     right = [cb[j - len(ca)] for j in support if j >= len(ca)]
     return (
@@ -433,7 +436,7 @@ def fan_to_json(f: Fan, pretty: bool = True) -> str:
     doc = fan_to_dict(f)
     try:
         if pretty:
-            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            return pretty_json(doc)
         return json.dumps(doc, separators=(",", ":"), sort_keys=True)
     except ValueError as exc:
         raise FanFormatError(f"fan cannot be written as JSON: {exc}") from exc

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricflex.conegeom import (
+    _span_frame,
     cone_contains,
     face_lattice,
     facet_normals,
@@ -232,3 +233,16 @@ class TestQuotientGroup:
         all_factors = snf(gens).invariant_factors
         assert q.order == math.prod(all_factors)
         assert q.invariant_factors == tuple(x for x in all_factors if x > 1)
+
+
+class TestSpanFrameCache:
+    def test_cache_is_bounded_and_keeps_its_counters(self):
+        _span_frame.cache_clear()
+        f = single_cone_fan(3, [(1, 0, 0), (0, 1, 0)])
+        cone_contains(f, the_cone(f), (1, 1, 0))
+        cone_contains(f, the_cone(f), (0, 0, 1))
+        info = _span_frame.cache_info()
+        assert info.maxsize is not None and info.maxsize > 0
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        _span_frame.cache_clear()
+        assert _span_frame.cache_info().currsize == 0

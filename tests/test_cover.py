@@ -1,6 +1,12 @@
 """Chart construction, cover certificates, and the independent verifier."""
 
+import copy
+import hashlib
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricflex.conegeom import QuotientGroup
 from toricflex.cover import (
@@ -9,6 +15,7 @@ from toricflex.cover import (
     FORMAT_VERSION,
     KIND_AFFINE_SPACE,
     KIND_FLEXIBLE_COMPLEMENT,
+    _complement_findings,
     build_chart,
     build_cover,
     certificate_from_dict,
@@ -26,6 +33,7 @@ from toricflex.errors import (
 )
 from toricflex.fans import (
     Fan,
+    fan_affine_space,
     fan_hirzebruch,
     fan_product,
     fan_projective_space,
@@ -385,8 +393,163 @@ class TestVerifyMutations:
         assert not passed
         assert any("complement must be empty" in s for s in findings)
 
+    def test_reordered_complement_still_verifies(self):
+        for fan in (fan_punctured_affine(4), skew_fan(), mixed_fan()):
+
+            def change(doc):
+                for ch in doc["charts"]:
+                    random.Random(len(ch["complement_faces"])).shuffle(ch["complement_faces"])
+                    ch["complement_faces"].reverse()
+
+            passed, findings = mutated(fan, change)
+            assert passed, findings
+
+    def test_expected_complement_has_no_findings(self):
+        # The verifier skips the per-face checks when the listed complement
+        # equals the expected one; they must find nothing in that case.
+        fans = (fan_punctured_affine(5), fan_affine_space(2), skew_fan(), mixed_fan())
+        for fan in fans:
+            for ch in build_cover(fan).charts:
+                faces = ch.complement_faces
+                assert _complement_findings("chart", faces, dict(faces)) == []
+
+
+class IntSubclass(int):
+    pass
+
+
+class ListSubclass(list):
+    pass
+
+
+def per_entry_complement(faces, where):
+    """The reader's complement check one entry at a time, the oracle."""
+    parsed = []
+    for entry in faces:
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 2
+            or not isinstance(entry[0], list)
+            or any(isinstance(x, bool) or not isinstance(x, int) for x in entry[0])
+            or isinstance(entry[1], bool)
+            or not isinstance(entry[1], int)
+        ):
+            raise CertificateFormatError(
+                f"{where}: complement_faces entries must be [ray index list, codim]"
+            )
+        parsed.append((tuple(entry[0]), entry[1]))
+    return tuple(parsed)
+
+
+ATOMS = (
+    st.integers(-2, 9)
+    | st.booleans()
+    | st.integers(-2, 9).map(IntSubclass)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=2)
+    | st.none()
+)
+RAY_LISTS = (
+    st.lists(ATOMS, max_size=3)
+    | st.lists(st.integers(0, 9), max_size=3).map(ListSubclass)
+    | st.lists(st.integers(0, 9), max_size=3).map(tuple)
+    | ATOMS
+)
+ENTRIES = (
+    st.tuples(RAY_LISTS, ATOMS).map(ListSubclass)
+    | st.tuples(RAY_LISTS, ATOMS).map(tuple)
+    | st.lists(ATOMS | RAY_LISTS, max_size=3)
+    | ATOMS
+)
+
+
+SKEW_DOC = certificate_to_dict(build_cover(skew_fan()))
+
+
+@st.composite
+def complement_lists(draw):
+    """Well-formed complement lists, some with one part made hostile."""
+    faces = draw(
+        st.lists(
+            st.tuples(st.lists(st.integers(0, 9), max_size=4), st.integers(0, 9)).map(list),
+            max_size=4,
+        )
+    )
+    part = draw(st.sampled_from(["none", "entry", "face", "ray", "codim"]))
+    if faces and part != "none":
+        i = draw(st.integers(0, len(faces) - 1))
+        if part == "entry":
+            faces[i] = draw(ENTRIES)
+        elif part == "face":
+            faces[i][0] = draw(RAY_LISTS)
+        elif part == "ray":
+            faces[i][0].insert(draw(st.integers(0, len(faces[i][0]))), draw(ATOMS))
+        else:
+            faces[i][1] = draw(ATOMS)
+    return faces
+
+
+# sha256 of the pretty certificate of each fan, computed with the stdlib
+# encoder before the certificate writer was replaced.  A deliberate format
+# change updates them.
+GOLDEN_DIGESTS = [
+    pytest.param(
+        lambda: fan_projective_space(2),
+        "7d357e0d7684417439129c6ec2754190189a18bd7197528881435353a3ba2373",
+        id="P2",
+    ),
+    pytest.param(
+        lambda: fan_hirzebruch(2),
+        "f5d9ca59a5d360af9cc08e34d873eb2b1275d5a71848a84303e3dac2de3b473c",
+        id="F2",
+    ),
+    pytest.param(
+        lambda: fan_product(fan_projective_space(1), fan_projective_space(1)),
+        "8f0d96c36388da7fd9db2eccab510ef97046bbbcde8d6fc561d63aef374c5fce",
+        id="P1xP1",
+    ),
+    pytest.param(
+        lambda: fan_product(fan_projective_space(1), fan_projective_space(3)),
+        "5751a653b49d87d1c97793fe4e24169dbb589e95777b38e4c8dd5c35ce2a303e",
+        id="P1xP3",
+    ),
+    pytest.param(
+        lambda: fan_punctured_affine(3),
+        "9d1e14339b9fdb05a73b3ad0a97cc53ffee763d8a3a52a0f973e35cf57630238",
+        id="A3*",
+    ),
+    pytest.param(
+        lambda: fan_punctured_affine(8),
+        "6e9cdf5941a2b426c800e6caf6c7f0037b270afb570051bbd6dc5c5c026e5156",
+        id="A8*",
+    ),
+]
+
 
 class TestCertificateSerialization:
+    @pytest.mark.parametrize("fan, digest", GOLDEN_DIGESTS)
+    def test_golden_digests(self, fan, digest):
+        text = certificate_to_json(build_cover(fan()))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    @settings(deadline=None, max_examples=300)
+    @given(complement_lists())
+    def test_reader_agrees_with_per_entry_check(self, faces):
+        doc = copy.deepcopy(SKEW_DOC)
+        doc["charts"][0]["complement_faces"] = faces
+        try:
+            expected = per_entry_complement(faces, "chart 0")
+        except CertificateFormatError as exc:
+            with pytest.raises(CertificateFormatError) as ours:
+                certificate_from_dict(doc)
+            assert str(ours.value) == str(exc)
+            return
+        got = certificate_from_dict(doc).charts[0].complement_faces
+        assert got == expected
+        assert [(list(map(type, f)), type(c)) for f, c in got] == [
+            (list(map(type, f)), type(c)) for f, c in expected
+        ]
+
     def test_round_trip(self):
         for f in (fan_projective_space(2), fan_punctured_affine(3), skew_fan()):
             cert = build_cover(f)

@@ -44,7 +44,8 @@ from toricflex.fans import (
     validate_fan,
 )
 from toricflex.fans import _pair_finding
-from toricflex.intlinalg import IntMatrix, kernel_basis
+from toricflex.conegeom import cone_contains
+from toricflex.intlinalg import IntMatrix, kernel_basis, positive_circuit, rank
 
 P2_DIGEST = "41837965ad3f42ad087b653b59d3eed577ce290ed5a871c7c06f3a6658ed06ce"
 
@@ -98,6 +99,43 @@ def circuit_scan_finding(f, ia, ib):
                     f"one of rays {right} of the second"
                 )
     return None
+
+
+def precheck_first_finding(f, ia, ib):
+    """_pair_finding with the ray-membership test run first, the oracle.
+
+    That was the order before the membership test moved behind the LP; the
+    diagnostics must not depend on it.
+    """
+    ca, cb = f.max_cones[ia], f.max_cones[ib]
+    shared = set(ca) & set(cb)
+    for idx in cb:
+        if idx not in shared and cone_contains(f, ca, f.rays[idx]):
+            return (
+                f"ray {idx} {f.rays[idx]} of maximal cone {cb} lies in "
+                f"maximal cone {ca} but is not a shared ray"
+            )
+    for idx in ca:
+        if idx not in shared and cone_contains(f, cb, f.rays[idx]):
+            return (
+                f"ray {idx} {f.rays[idx]} of maximal cone {ca} lies in "
+                f"maximal cone {cb} but is not a shared ray"
+            )
+    union = sorted(set(ca) | set(cb))
+    if rank(IntMatrix.from_rows([f.rays[i] for i in union])) == len(union):
+        return None
+    cols = [f.rays[i] for i in ca] + [tuple(-x for x in f.rays[i]) for i in cb]
+    weights = [int(i not in shared) for i in ca + cb]
+    support = positive_circuit(IntMatrix.from_rows(zip(*cols)), weights)
+    if support is None:
+        return None
+    left = [ca[j] for j in support if j < len(ca)]
+    right = [cb[j - len(ca)] for j in support if j >= len(ca)]
+    return (
+        f"maximal cones {ca} and {cb} overlap beyond their shared rays: "
+        f"a positive combination of rays {left} of the first equals "
+        f"one of rays {right} of the second"
+    )
 
 
 def checked_pairs(f):
@@ -299,6 +337,25 @@ class TestValidateFan:
         for a, b in checked_pairs(f):
             expected = circuit_scan_finding(f, a, b) is None
             assert (_pair_finding(f, a, b) is None) == expected, (f, a, b)
+
+    def test_constructor_corpus_agrees_with_precheck_first_order(self):
+        fans = corpus() + [
+            make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (2,)]),
+            make_fan(
+                3,
+                [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, -1), (-1, 1, 2)],
+                [(0, 1, 2), (3, 4)],
+            ),
+        ]
+        for f in fans:
+            for a, b in checked_pairs(f):
+                assert _pair_finding(f, a, b) == precheck_first_finding(f, a, b)
+
+    @settings(deadline=None, max_examples=150)
+    @given(random_fans())
+    def test_diagnostics_agree_with_precheck_first_order(self, f):
+        for a, b in checked_pairs(f):
+            assert _pair_finding(f, a, b) == precheck_first_finding(f, a, b), (f, a, b)
 
     @settings(deadline=None, max_examples=150)
     @given(random_fans())
