@@ -9,7 +9,6 @@ by a digest prefix so repeated runs are stable.
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from toricflex.cover import (
@@ -31,13 +30,7 @@ from toricflex.fans import (
 )
 
 
-@dataclass
-class DemoConfig:
-    rounds: int = 1
-    out_dir: Path | None = None
-
-
-def corpus(cfg: DemoConfig) -> list[tuple[str, Fan]]:
+def corpus(rounds: int) -> list[tuple[str, Fan]]:
     named: list[tuple[str, Fan]] = []
     for n in range(1, 5):
         named.append((f"projective_{n}", fan_projective_space(n)))
@@ -48,7 +41,7 @@ def corpus(cfg: DemoConfig) -> list[tuple[str, Fan]]:
     )
     for n in (2, 3, 4):
         named.append((f"punctured_{n}", fan_punctured_affine(n)))
-    family = iterated_star_subdivisions(fan_projective_space(2), cfg.rounds)
+    family = iterated_star_subdivisions(fan_projective_space(2), rounds)
     seen = {fan_digest(f) for _, f in named}
     for f in family:
         digest = fan_digest(f)
@@ -58,10 +51,10 @@ def corpus(cfg: DemoConfig) -> list[tuple[str, Fan]]:
     return named
 
 
-def run(cfg: DemoConfig) -> int:
+def run(rounds: int, out_dir: Path | None) -> int:
     rows = []
     failures = 0
-    for name, fan in corpus(cfg):
+    for name, fan in corpus(rounds):
         report = validate_fan(fan)
         cert = build_cover(fan)
         outcome = verify_certificate(fan, cert)
@@ -84,9 +77,9 @@ def run(cfg: DemoConfig) -> int:
                 "ok" if outcome.passed else "FAILED",
             )
         )
-        if cfg.out_dir is not None:
-            cfg.out_dir.mkdir(parents=True, exist_ok=True)
-            stem = cfg.out_dir / f"{name}"
+        if out_dir is not None:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            stem = out_dir / f"{name}"
             stem.with_suffix(".fan.json").write_text(
                 fan_to_json(fan), encoding="utf-8"
             )
@@ -119,7 +112,7 @@ def main(argv=None) -> int:
         help="write fan and certificate JSON files here",
     )
     args = parser.parse_args(argv)
-    return run(DemoConfig(rounds=args.rounds, out_dir=args.out_dir))
+    return run(args.rounds, args.out_dir)
 
 
 if __name__ == "__main__":

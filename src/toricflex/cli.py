@@ -65,6 +65,10 @@ EXIT_CODES = {
     DegenerateError: EXIT_HYPOTHESIS,
 }
 
+# Building an example fan costs about the rank to the power 4.7 (one rank
+# test per maximal cone), so `example` refuses larger ranks outright.
+MAX_EXAMPLE_RANK = 32
+
 
 def _read_text(path: str) -> str:
     # Standard input is decoded like a file, as strict UTF-8 whatever the
@@ -151,12 +155,22 @@ def _cmd_example(args: argparse.Namespace) -> int:
     if args.name == "product":
         if len(params) != 2:
             return _fail(EXIT_USAGE, "example product needs two --param values")
+    elif len(params) != 1:
+        return _fail(EXIT_USAGE, f"example {args.name} needs one --param value")
+    # The builders refuse a parameter below 1 themselves; counting it as 0
+    # here keeps a negative factor from hiding a huge one.  A Hirzebruch
+    # surface has rank 2 whatever its twist.
+    ambient = 2 if args.name == "hirzebruch" else sum(max(p, 0) for p in params)
+    if ambient > MAX_EXAMPLE_RANK:
+        raise BadParameterError(
+            f"example {args.name} would have ambient rank {ambient}, "
+            f"above the limit of {MAX_EXAMPLE_RANK}"
+        )
+    if args.name == "product":
         fan = fan_product(
             fan_projective_space(params[0]), fan_projective_space(params[1])
         )
     else:
-        if len(params) != 1:
-            return _fail(EXIT_USAGE, f"example {args.name} needs one --param value")
         builder = {
             "affine": fan_affine_space,
             "projective": fan_projective_space,

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 from .conegeom import (
     Cone,
     QuotientGroup,
     face_lattice,
-    orbit_codim,
     quotient_group,
 )
 from .errors import (
@@ -109,14 +108,17 @@ class VerificationReport:
     findings: tuple[str, ...]
 
 
-def _in_extension_skeleton(face: Cone, cone: set[int], added: set[int]) -> bool:
-    # The kept faces: every face of the original cone, each added ray
-    # alone, and the zero face.
-    if not face:
-        return True
-    if set(face) <= cone:
-        return True
-    return len(face) == 1 and face[0] in added
+def _removed_faces(cprime: Cone, cone: Cone) -> tuple[tuple[Cone, int], ...]:
+    # The complement rule.  A chart keeps the faces of the cone, each added
+    # ray alone and the zero face.  Every face with at most one ray is one
+    # of those, so the chart removes the faces of cprime with two or more
+    # rays that are not faces of the cone, each of codimension its size.
+    kept = set(cone)
+    return tuple(
+        (face, dim)
+        for face, dim in face_lattice(cprime).faces
+        if dim > 1 and not kept.issuperset(face)
+    )
 
 
 def build_chart(f: Fan, cone_index: int) -> ChartCertificate:
@@ -173,12 +175,7 @@ def build_chart(f: Fan, cone_index: int) -> ChartCertificate:
         )
 
     cprime = tuple(sorted(set(c) | set(added)))
-    cone_set, added_set = set(c), set(added)
-    complement = tuple(
-        (face, dim)
-        for face, dim in face_lattice(cprime).faces
-        if not _in_extension_skeleton(face, cone_set, added_set)
-    )
+    complement = _removed_faces(cprime, c)
     return ChartCertificate(
         cone_index=cone_index,
         kind=KIND_FLEXIBLE_COMPLEMENT,
@@ -303,12 +300,7 @@ def _chart_findings(f: Fan, ch: ChartCertificate) -> list[str]:
         out.append(f"{tag}: extended cone generators are rationally dependent")
         return out
 
-    cone_set, added_set = set(c), set(added)
-    expected = {
-        face: orbit_codim(face)
-        for face, _ in face_lattice(cprime).faces
-        if not _in_extension_skeleton(face, cone_set, added_set)
-    }
+    expected = dict(_removed_faces(cprime, c))
     # A list equal to the expected one, in the same order, passes every
     # per-face check below: the expected faces are distinct, each has at
     # least two rays, and each codimension is the face's size.  So the
@@ -371,9 +363,10 @@ def _complement_findings(tag: str, faces, expected: dict[Cone, int]) -> list[str
 def verify_certificate(f: Fan, cert: CoverCertificate) -> VerificationReport:
     """Independently re-derive every claim in a cover certificate.
 
-    Uses only the fan predicates and cone geometry, never build_chart, so
-    the checker does not share the builder's code paths.  All failures are
-    reported as findings; nothing raises.
+    Uses only the fan predicates and cone geometry, never build_chart.
+    The one rule it shares with the builder is the complement rule,
+    _removed_faces, which the tests hold against an independent oracle.
+    All failures are reported as findings; nothing raises.
     """
     findings: list[str] = []
 
@@ -495,18 +488,7 @@ def _chart_from_dict(doc, position: int) -> ChartCertificate:
     where = f"chart {position}"
     if not isinstance(doc, dict):
         raise CertificateFormatError(f"{where} must be a JSON object")
-    needed = {
-        "cone_index",
-        "kind",
-        "k",
-        "n",
-        "added_ray_indices",
-        "cprime_ray_indices",
-        "quotient",
-        "complement_faces",
-        "min_complement_codim",
-    }
-    missing = needed - doc.keys()
+    missing = {f.name for f in fields(ChartCertificate)} - doc.keys()
     if missing:
         raise CertificateFormatError(f"{where} is missing keys: {sorted(missing)}")
     if not isinstance(doc["kind"], str):
@@ -575,16 +557,7 @@ def certificate_from_dict(doc) -> CoverCertificate:
     """
     if not isinstance(doc, dict):
         raise CertificateFormatError("certificate document must be a JSON object")
-    needed = {
-        "format_version",
-        "digest_algorithm",
-        "fan_digest",
-        "citations",
-        "report",
-        "charts",
-        "a_covered",
-    }
-    missing = needed - doc.keys()
+    missing = {f.name for f in fields(CoverCertificate)} - doc.keys()
     if missing:
         raise CertificateFormatError(
             f"certificate document is missing keys: {sorted(missing)}"

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 from .conegeom import Cone, check_ray_indices, cone_contains
@@ -88,7 +89,7 @@ def make_fan(ambient_rank, rays, max_cones) -> Fan:
             )
         if all(x == 0 for x in vec):
             raise InvalidFanError(f"ray {pos} is the zero vector")
-        if vec != primitivize(vec):
+        if math.gcd(*vec) != 1:
             raise InvalidFanError(f"ray {pos} {vec} is not primitive")
         ray_list.append(vec)
     if len(set(ray_list)) != len(ray_list):
@@ -130,7 +131,7 @@ def is_smooth_cone(f: Fan, cone) -> bool:
 
 def is_smooth_fan(f: Fan) -> bool:
     # Faces of smooth simplicial cones are smooth, so maximal cones suffice.
-    return all(is_smooth_cone(f, c) for c in f.max_cones)
+    return first_nonsmooth_cone(f) is None
 
 
 def first_nonsmooth_cone(f: Fan) -> Cone | None:
@@ -179,13 +180,16 @@ def _pair_finding(f: Fan, ia: int, ib: int) -> str | None:
     exactly when every one of them stays within the shared rays (the
     separation lemma).  When the rays of both cones together are
     independent, the only dependencies pair a shared ray with its
-    negation, so the pair is fine.  Otherwise an exact integer LP
-    (intlinalg.positive_circuit) finds one outside the shared rays if
-    there is one.  Only then is the membership test run, to give the more
-    pointed message when a ray of one cone lies inside the other without
-    being shared; such a ray makes the rays dependent and its coefficients
-    are a feasible point of the LP, so the test never fires on a pair the
-    LP passes.  Otherwise the diagnostic names the rays of the circuit.
+    negation, so the pair is fine.  The LP alone would pass such a pair
+    too, but this one rank test is cheaper, and on a fan of rays (a
+    punctured affine space) it decides every pair.  Otherwise an exact
+    integer LP (intlinalg.positive_circuit) finds one outside the shared
+    rays if there is one.  Only then is the membership test run, to give
+    the more pointed message when a ray of one cone lies inside the other
+    without being shared; such a ray makes the rays dependent and its
+    coefficients are a feasible point of the LP, so the test never fires
+    on a pair the LP passes.  Otherwise the diagnostic names the rays of
+    the circuit.
     """
     ca, cb = f.max_cones[ia], f.max_cones[ib]
     shared = set(ca) & set(cb)
@@ -270,13 +274,14 @@ def validate_fan(f: Fan) -> FanReport:
     valid = not diags
     pure = bool(f.max_cones) and all(len(c) == f.ambient_rank for c in f.max_cones)
     complete = is_complete(f) if valid and pure else False
+    tfr = torus_factor_rank(f)
     return FanReport(
         valid=valid,
         smooth=is_smooth_fan(f),
         simplicial=True,
-        nondegenerate=is_nondegenerate(f),
+        nondegenerate=tfr == 0,
         complete=complete,
-        torus_factor_rank=torus_factor_rank(f),
+        torus_factor_rank=tfr,
         diagnostics=tuple(diags),
     )
 
@@ -478,7 +483,7 @@ def report_from_dict(doc) -> FanReport:
     if not isinstance(doc, dict):
         raise FanFormatError("fan report must be a JSON object")
     flags = ("valid", "smooth", "simplicial", "nondegenerate", "complete")
-    missing = set(flags + ("torus_factor_rank", "diagnostics")) - doc.keys()
+    missing = {f.name for f in fields(FanReport)} - doc.keys()
     if missing:
         raise FanFormatError(f"fan report is missing keys: {sorted(missing)}")
     for key in flags:

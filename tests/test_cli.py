@@ -185,6 +185,30 @@ class TestExample:
         assert main(["example", "--name", "projective", "--param", "0"]) == 2
         assert capsys.readouterr().err.startswith("toricflex: ")
 
+    def test_rank_bound_edges(self, tmp_path, capsys):
+        assert main(["example", "--name", "projective", "--param", "32"]) == 0
+        assert fan_from_json(capsys.readouterr().out).ambient_rank == 32
+        assert main(["example", "--name", "product", "--param", "1", "--param", "31"]) == 0
+        assert fan_from_json(capsys.readouterr().out).ambient_rank == 32
+        for params in (["33"], ["16", "17"], ["40", "-8"]):
+            name = "product" if len(params) == 2 else "projective"
+            out = tmp_path / f"{name}.json"
+            argv = ["example", "--name", name, "--output", str(out)]
+            for p in params:
+                argv += ["--param", p]
+            assert main(argv) == 2
+            stdout, stderr = capsys.readouterr()
+            assert stdout == "" and not out.exists()
+            assert stderr.startswith("toricflex: ") and stderr.count("\n") == 1
+            assert "above the limit of 32" in stderr
+        for name in ("affine", "punctured"):
+            assert main(["example", "--name", name, "--param", "33"]) == 2
+            assert "above the limit of 32" in capsys.readouterr().err
+
+    def test_hirzebruch_twist_is_not_a_rank(self, capsys):
+        assert main(["example", "--name", "hirzebruch", "--param", "1000"]) == 0
+        assert (-1, 1000) in fan_from_json(capsys.readouterr().out).rays
+
     def test_unknown_name(self, capsys):
         assert main(["example", "--name", "weighted", "--param", "1"]) == 2
         capsys.readouterr()

@@ -3,12 +3,13 @@
 import copy
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toricflex.conegeom import QuotientGroup
+from toricflex.conegeom import QuotientGroup, face_lattice
 from toricflex.cover import (
     CITATIONS,
     DIGEST_ALGORITHM,
@@ -39,6 +40,8 @@ from toricflex.fans import (
     fan_projective_space,
     fan_punctured_affine,
     make_fan,
+    star_subdivision,
+    torus_factor_rank,
 )
 
 
@@ -414,6 +417,90 @@ class TestVerifyMutations:
                 assert _complement_findings("chart", faces, dict(faces)) == []
 
 
+def in_extension_skeleton(face, cone: set[int], added: set[int]) -> bool:
+    """The complement rule case by case, the oracle: the faces a chart keeps.
+
+    Every face of the original cone, each added ray alone, and the zero face.
+    """
+    if not face:
+        return True
+    if set(face) <= cone:
+        return True
+    return len(face) == 1 and face[0] in added
+
+
+SMOOTH_COMPLETE = {
+    2: (fan_projective_space(2), fan_hirzebruch(1), fan_hirzebruch(3)),
+    3: (
+        fan_projective_space(3),
+        fan_product(fan_projective_space(1), fan_projective_space(2)),
+        star_subdivision(fan_projective_space(3), (0, 1)),
+    ),
+    4: (
+        fan_projective_space(4),
+        fan_product(fan_projective_space(1), fan_projective_space(3)),
+        fan_product(fan_projective_space(2), fan_projective_space(2)),
+    ),
+}
+
+
+@st.composite
+def lower_dimensional_fans(draw):
+    """Smooth nondegenerate fans of rank at most 4 with lower-dimensional cones.
+
+    The maximal cones are k-faces of a smooth complete fan for one k below
+    the rank, plus some of its maximal cones that contain none of them;
+    faces of a fan form a fan again.  In rank 4 with k = 2 each such cone
+    has two added rays.  A unimodular change of basis moves the rays off
+    the coordinate axes.
+    """
+    n = draw(st.integers(2, 4))
+    base = draw(st.sampled_from(SMOOTH_COMPLETE[n]))
+    k = draw(st.integers(1, n - 1))
+    faces = sorted({sub for c in base.max_cones for sub in combinations(c, k)})
+    cones = draw(st.lists(st.sampled_from(faces), min_size=1, max_size=8, unique=True))
+    for c in draw(st.lists(st.sampled_from(base.max_cones), max_size=3, unique=True)):
+        if not any(set(face) <= set(c) for face in cones):
+            cones.append(c)
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        scale = draw(st.sampled_from((-2, -1, 1, 2)))
+        for row in basis:
+            row[j] += scale * row[i]
+    used = sorted({i for c in cones for i in c})
+    rays = [
+        tuple(sum(base.rays[i][a] * basis[a][b] for a in range(n)) for b in range(n))
+        for i in used
+    ]
+    remap = {old: new for new, old in enumerate(used)}
+    fan = make_fan(n, rays, [tuple(remap[i] for i in c) for c in cones])
+    assume(torus_factor_rank(fan) == 0)
+    return fan
+
+
+UNIT_4 = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+
+
+class TestComplementRule:
+    @settings(deadline=None, max_examples=150)
+    @given(fan=lower_dimensional_fans())
+    @example(fan=make_fan(4, UNIT_4, [(0, 1), (2, 3)]))
+    @example(fan=make_fan(4, UNIT_4 + [(-1, -1, 0, 0)], [(0, 1, 2), (1, 4), (3,)]))
+    def test_complement_matches_the_case_by_case_rule(self, fan):
+        cert = build_cover(fan)
+        for ch in cert.charts:
+            cone, added = set(fan.max_cones[ch.cone_index]), set(ch.added_ray_indices)
+            expected = [
+                (face, dim)
+                for face, dim in face_lattice(ch.cprime_ray_indices).faces
+                if not in_extension_skeleton(face, cone, added)
+            ]
+            assert list(ch.complement_faces) == expected
+            assert all(codim == len(face) for face, codim in ch.complement_faces)
+        assert verify_certificate(fan, cert).passed
+
+
 class IntSubclass(int):
     pass
 
@@ -526,6 +613,39 @@ GOLDEN_DIGESTS = [
 ]
 
 
+# The key names of a certificate document, written out rather than read
+# from the dataclasses, so that renaming a field breaks this contract loudly.
+CERTIFICATE_KEYS = (
+    "format_version",
+    "digest_algorithm",
+    "fan_digest",
+    "citations",
+    "report",
+    "charts",
+    "a_covered",
+)
+CHART_KEYS = (
+    "cone_index",
+    "kind",
+    "k",
+    "n",
+    "added_ray_indices",
+    "cprime_ray_indices",
+    "quotient",
+    "complement_faces",
+    "min_complement_codim",
+)
+REPORT_KEYS = (
+    "valid",
+    "smooth",
+    "simplicial",
+    "nondegenerate",
+    "complete",
+    "torus_factor_rank",
+    "diagnostics",
+)
+
+
 class TestCertificateSerialization:
     @pytest.mark.parametrize("fan, digest", GOLDEN_DIGESTS)
     def test_golden_digests(self, fan, digest):
@@ -549,6 +669,25 @@ class TestCertificateSerialization:
         assert [(list(map(type, f)), type(c)) for f, c in got] == [
             (list(map(type, f)), type(c)) for f, c in expected
         ]
+
+    @pytest.mark.parametrize(
+        "part, key",
+        [("certificate", key) for key in CERTIFICATE_KEYS]
+        + [("chart", key) for key in CHART_KEYS]
+        + [("report", key) for key in REPORT_KEYS],
+    )
+    def test_missing_key_message(self, part, key):
+        doc = certificate_to_dict(build_cover(skew_fan()))
+        target = {"certificate": doc, "chart": doc["charts"][0], "report": doc["report"]}
+        del target[part][key]
+        prefix = {
+            "certificate": "certificate document",
+            "chart": "chart 0",
+            "report": "report: fan report",
+        }
+        with pytest.raises(CertificateFormatError) as exc:
+            certificate_from_dict(doc)
+        assert str(exc.value) == f"{prefix[part]} is missing keys: ['{key}']"
 
     def test_round_trip(self):
         for f in (fan_projective_space(2), fan_punctured_affine(3), skew_fan()):
