@@ -182,19 +182,23 @@ def _pair_finding(f: Fan, ia: int, ib: int) -> str | None:
     independent, the only dependencies pair a shared ray with its
     negation, so the pair is fine.  The LP alone would pass such a pair
     too, but this one rank test is cheaper, and on a fan of rays (a
-    punctured affine space) it decides every pair.  Otherwise an exact
-    integer LP (intlinalg.positive_circuit) finds one outside the shared
-    rays if there is one.  Only then is the membership test run, to give
-    the more pointed message when a ray of one cone lies inside the other
-    without being shared; such a ray makes the rays dependent and its
-    coefficients are a feasible point of the LP, so the test never fires
-    on a pair the LP passes.  Otherwise the diagnostic names the rays of
-    the circuit.
+    punctured affine space) it decides every pair.  It runs only when the
+    union has at most n rays, since n + 1 vectors in rank n are always
+    dependent; two distinct full-dimensional cones never pass it.
+    Otherwise an exact integer LP (intlinalg.positive_circuit) finds a
+    dependency outside the shared rays if there is one.  Only then is the
+    membership test run, to give the more pointed message when a ray of
+    one cone lies inside the other without being shared; such a ray makes
+    the rays dependent and its coefficients are a feasible point of the
+    LP, so the test never fires on a pair the LP passes.  Otherwise the
+    diagnostic names the rays of the circuit.
     """
     ca, cb = f.max_cones[ia], f.max_cones[ib]
     shared = set(ca) & set(cb)
     union = sorted(set(ca) | set(cb))
-    if rank(IntMatrix.from_rows([f.rays[i] for i in union])) == len(union):
+    if len(union) <= f.ambient_rank and rank(
+        IntMatrix.from_rows([f.rays[i] for i in union])
+    ) == len(union):
         return None
     cols = [f.rays[i] for i in ca] + [tuple(-x for x in f.rays[i]) for i in cb]
     weights = [int(i not in shared) for i in ca + cb]

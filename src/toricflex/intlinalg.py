@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import DimensionMismatchError, NonSquareError, ZeroVectorError
 
@@ -27,13 +28,18 @@ class IntMatrix:
     """Immutable rectangular integer matrix.
 
     Rows are stored as tuples; construction validates that the grid is
-    nonempty and rectangular and that every entry is a plain int.
+    nonempty and rectangular and that every entry is an int (bool refused).
     """
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        grid = tuple(tuple(_check_int(x) for x in row) for row in self.entries)
+        grid = tuple(map(tuple, self.entries))
+        # One scan by type accepts the usual grid of plain ints; any other
+        # grid takes the per-entry check, which decides acceptance (int
+        # subclasses pass, bool does not) and the message.
+        if not set(map(type, chain.from_iterable(grid))) <= {int}:
+            grid = tuple(tuple(_check_int(x) for x in row) for row in grid)
         if not grid or not grid[0]:
             raise DimensionMismatchError("matrix needs at least one row and one column")
         width = len(grid[0])
@@ -43,7 +49,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -363,7 +369,10 @@ def extends_to_z_basis(vectors, ambient_rank: int) -> bool:
     """Whether the given integer vectors extend to a basis of the full lattice.
 
     True exactly when the vectors are independent and the lattice they span
-    is saturated, i.e. every Smith invariant factor equals 1.
+    is saturated, i.e. every Smith invariant factor equals 1.  For as many
+    vectors as the ambient rank the product of those factors is |det|, so
+    one fraction-free elimination decides it; fewer vectors take the Smith
+    normal form.
     """
     vecs = tuple(tuple(row) for row in vectors)
     for vec in vecs:
@@ -375,7 +384,10 @@ def extends_to_z_basis(vectors, ambient_rank: int) -> bool:
         return True
     if len(vecs) > ambient_rank:
         return False
-    res = snf(IntMatrix.from_rows(vecs))
+    m = IntMatrix.from_rows(vecs)
+    if len(vecs) == ambient_rank:
+        return abs(det(m)) == 1
+    res = snf(m)
     return len(res.invariant_factors) == len(vecs) and all(
         f == 1 for f in res.invariant_factors
     )

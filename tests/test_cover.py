@@ -3,12 +3,14 @@
 import copy
 import hashlib
 import random
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from toricflex import intlinalg
 from toricflex.conegeom import QuotientGroup, face_lattice
 from toricflex.cover import (
     CITATIONS,
@@ -169,6 +171,43 @@ class TestBuildCover:
         with pytest.raises(DegenerateError) as err:
             build_cover(f)
         assert "torus_factor_rank = 1" in str(err.value)
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Count calls to intlinalg.<name> through every binding in toricflex."""
+    calls: list = []
+    original = getattr(intlinalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "toricflex" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSmoothnessTestedOnce:
+    """Each maximal cone is tested for smoothness once per build or verify,
+    by validate_fan, and a full-dimensional cone's test needs no Smith form.
+    The counts are exact, so a repeated scan shows as a doubled count."""
+
+    def test_projective_space_cover_and_verify(self, monkeypatch):
+        f = fan_projective_space(5)
+        smooth_tests = count_calls(monkeypatch, "extends_to_z_basis")
+        smith_forms = count_calls(monkeypatch, "snf")
+        cert = build_cover(f)
+        assert (len(smooth_tests), len(smith_forms)) == (6, 0)
+        smooth_tests.clear()
+        assert verify_certificate(f, cert).passed
+        assert (len(smooth_tests), len(smith_forms)) == (6, 0)
+
+    def test_punctured_affine_cover(self, monkeypatch):
+        f = fan_punctured_affine(10)
+        smooth_tests = count_calls(monkeypatch, "extends_to_z_basis")
+        build_cover(f)
+        assert len(smooth_tests) == 10
 
 
 class TestVerify:

@@ -79,7 +79,35 @@ def int_matrices(draw, max_dim=5, bound=9):
     return IntMatrix.from_rows(rows)
 
 
+class IntSubclass(int):
+    pass
+
+
 class TestIntMatrix:
+    def test_accepts_int_subclass(self):
+        m = IntMatrix.from_rows([[IntSubclass(3), 1], [0, IntSubclass(-2)]])
+        assert m.entries == ((3, 1), (0, -2))
+        assert det(m) == -6
+
+    @pytest.mark.parametrize(
+        "bad, name",
+        [(True, "bool"), (False, "bool"), (2.0, "float"), ("1", "str"), (None, "NoneType")],
+    )
+    def test_refuses_other_entries_with_one_message(self, bad, name):
+        # One bad entry among plain ints, in a list grid or a tuple grid.
+        for rows in ([[bad]], [[1, 2, bad]], [[1, 2], [bad, 4]], ((0, 1), (1, bad))):
+            with pytest.raises(TypeError) as err:
+                IntMatrix.from_rows(rows)
+            assert str(err.value) == f"matrix entries must be int, got {name}"
+
+    def test_rows_as_lists_tuples_or_generators(self):
+        expected = ((1, 2), (3, 4))
+        assert IntMatrix.from_rows([[1, 2], [3, 4]]).entries == expected
+        assert IntMatrix.from_rows(((1, 2), (3, 4))).entries == expected
+        assert IntMatrix.from_rows((x for x in r) for r in expected).entries == expected
+        assert IntMatrix([[1, 2], [3, 4]]).entries == expected
+        assert IntMatrix.from_rows(map(list, expected)) == IntMatrix(expected)
+
     def test_rejects_empty_and_ragged(self):
         with pytest.raises(DimensionMismatchError):
             IntMatrix.from_rows([])
@@ -87,6 +115,12 @@ class TestIntMatrix:
             IntMatrix.from_rows([[]])
         with pytest.raises(DimensionMismatchError):
             IntMatrix.from_rows([[1, 2], [3]])
+
+    def test_rejects_empty_and_ragged_generators(self):
+        with pytest.raises(DimensionMismatchError):
+            IntMatrix.from_rows(iter([]))
+        with pytest.raises(DimensionMismatchError):
+            IntMatrix.from_rows(iter(r) for r in [[1, 2], [3]])
 
     def test_rejects_non_int_entries(self):
         with pytest.raises(TypeError):
@@ -291,11 +325,74 @@ class TestPrimitivize:
         assert math.gcd(*once) == 1
 
 
+def snf_extends_to_z_basis(vectors, ambient_rank: int) -> bool:
+    """The Smith normal form route for every shape: independent vectors
+    spanning a saturated lattice, i.e. every invariant factor 1."""
+    if len(vectors) > ambient_rank:
+        return False
+    factors = snf(IntMatrix.from_rows(vectors)).invariant_factors
+    return len(factors) == len(vectors) and all(f == 1 for f in factors)
+
+
+@st.composite
+def basis_candidates(draw):
+    """(rows, n, kind): k <= n <= 5 integer vectors of length n.
+
+    A unimodular kind is the first k rows of a product of elementary row
+    operations, one row negated half the time so both determinant signs
+    occur; scaled doubles a row of such a product (det +-2 when square),
+    singular replaces a row by a combination of the others, and random
+    draws entries up to a small or a very large bound.
+    """
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(["unimodular", "scaled", "singular", "random"]))
+    if kind == "random":
+        bound = draw(st.sampled_from([3, 10**30]))
+        entry = st.integers(-bound, bound)
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+        return rows, n, kind
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    multiplier = st.integers(-(10**12), 10**12)
+    for _ in range(draw(st.integers(0, 12)) if n > 1 else 0):
+        src, dst = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        q = draw(multiplier)
+        rows[dst] = [x + q * y for x, y in zip(rows[dst], rows[src])]
+    if draw(st.booleans()):
+        rows[0] = [-x for x in rows[0]]
+    rows = rows[:k]
+    target = draw(st.integers(0, k - 1))
+    if kind == "scaled":
+        rows[target] = [2 * x for x in rows[target]]
+    elif kind == "singular":
+        coeffs = [draw(st.integers(-3, 3)) if i != target else 0 for i in range(k)]
+        rows[target] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+    return rows, n, kind
+
+
 class TestExtendsToZBasis:
     def test_examples(self):
         assert extends_to_z_basis([(1, 0), (0, 1)], 2) is True
         assert extends_to_z_basis([(1, 0), (1, 2)], 2) is False
         assert extends_to_z_basis([(2, 3)], 2) is True
+
+    def test_square_examples_by_determinant(self):
+        assert extends_to_z_basis([(0, 1), (1, 0)], 2) is True  # det -1
+        assert extends_to_z_basis([(-1,)], 1) is True
+        assert extends_to_z_basis([(2,)], 1) is False
+        assert extends_to_z_basis([(1, 1), (1, -1)], 2) is False  # det -2
+        assert extends_to_z_basis([(1, 2), (2, 4)], 2) is False  # det 0
+
+    @settings(deadline=None, max_examples=300)
+    @given(basis_candidates())
+    def test_matches_snf_oracle(self, case):
+        rows, n, kind = case
+        got = extends_to_z_basis(rows, n)
+        assert got is snf_extends_to_z_basis(rows, n)
+        if kind == "unimodular":
+            assert got is True
+        elif kind != "random" and len(rows) == n:
+            assert got is False
 
     def test_too_many_vectors(self):
         assert extends_to_z_basis([(1, 0), (0, 1), (1, 1)], 2) is False
