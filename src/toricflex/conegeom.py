@@ -1,4 +1,4 @@
-"""Geometry of individual simplicial cones: normals, membership, quotients.
+"""Geometry of individual simplicial cones: membership, faces, quotients.
 
 Functions here take the ambient fan plus a cone given as a tuple of ray
 indices.  They never mutate the fan and never leave integer arithmetic.
@@ -7,24 +7,11 @@ indices.  They never mutate the fan and never leave integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING
 
-from .errors import (
-    BadIndexError,
-    DimensionMismatchError,
-    NotFullDimensionalError,
-    NotSimplicialError,
-)
-from .intlinalg import (
-    IntMatrix,
-    Vector,
-    adjugate,
-    det,
-    primitivize,
-    snf,
-)
+from .errors import BadIndexError, DimensionMismatchError, NotFullDimensionalError
+from .intlinalg import IntMatrix, Vector, det, positive_circuit, snf
 
 if TYPE_CHECKING:
     from .fans import Fan
@@ -79,55 +66,14 @@ def _generators(f: "Fan", cone) -> tuple[Vector, ...]:
     return tuple(f.rays[i] for i in check_ray_indices(cone, len(f.rays), BadIndexError))
 
 
-# Bounded so a long-lived process does not keep every cone it has seen;
-# one validation needs one frame per maximal cone it tests membership in.
-@lru_cache(maxsize=1024)
-def _span_frame(gens: tuple[Vector, ...]) -> tuple[IntMatrix, int, tuple[Vector, ...]]:
-    """Coordinate frame adapted to the span of k independent generators.
-
-    Returns (v, k, span_normals) where v is a unimodular change of basis
-    such that x lies in the span exactly when the trailing n - k entries
-    of the row product x @ v vanish, and span_normals are the primitive
-    inner facet normals written in the leading k coordinates (normal i
-    vanishes on every generator except generator i, where it is positive).
-    """
-    k = len(gens)
-    m = IntMatrix.from_rows(gens)
-    res = snf(m)
-    if len(res.invariant_factors) != k:
-        raise NotSimplicialError(f"generators {gens} are rationally dependent")
-    v = res.v
-    coords = m @ v
-    c = IntMatrix.from_rows([row[:k] for row in coords.entries])
-    sign = 1 if det(c) > 0 else -1
-    adj = adjugate(c)
-    span_normals = tuple(
-        primitivize(tuple(sign * adj.entries[i][j] for i in range(k)))
-        for j in range(k)
-    )
-    return v, k, span_normals
-
-
-def facet_normals(f: "Fan", cone) -> tuple[Vector, ...]:
-    """Primitive inner facet normals of a simplicial cone, one per generator.
-
-    Normal i evaluates to zero on every generator except generator i, where
-    it is positive; the normals are ambient covectors even when the cone is
-    lower-dimensional.  The zero cone has no facets and yields ().
-    """
-    gens = _generators(f, cone)
-    if not gens:
-        return ()
-    v, k, span_normals = _span_frame(gens)
-    n = f.ambient_rank
-    return tuple(
-        tuple(sum(v.entries[j][i] * u[i] for i in range(k)) for j in range(n))
-        for u in span_normals
-    )
-
-
 def cone_contains(f: "Fan", cone, point) -> bool:
-    """Whether an integer point lies in the closed cone spanned by the rays."""
+    """Whether an integer point lies in the closed cone spanned by the rays.
+
+    The point lies in the cone exactly when some z >= 0 has
+    sum(z_i * ray_i) == point, i.e. when the rays and the negated point have
+    a nonnegative dependency with weight 1 on the point; the phase-one LP
+    that validates fans decides that.  The rays need not be independent.
+    """
     pt = tuple(point)
     if len(pt) != f.ambient_rank:
         raise DimensionMismatchError(
@@ -136,13 +82,9 @@ def cone_contains(f: "Fan", cone, point) -> bool:
     gens = _generators(f, cone)
     if not gens:
         return all(x == 0 for x in pt)
-    v, k, span_normals = _span_frame(gens)
-    coords = tuple(
-        sum(pt[j] * v.entries[j][i] for j in range(len(pt))) for i in range(v.cols)
-    )
-    if any(coords[i] != 0 for i in range(k, len(coords))):
-        return False
-    return all(sum(u[i] * coords[i] for i in range(k)) >= 0 for u in span_normals)
+    cols = gens + (tuple(-x for x in pt),)
+    weights = (0,) * len(gens) + (1,)
+    return positive_circuit(IntMatrix.from_rows(zip(*cols)), weights) is not None
 
 
 def face_lattice(cone) -> FaceLattice:
@@ -160,14 +102,6 @@ def face_lattice(cone) -> FaceLattice:
         for sub in combinations(ordered, size)
     )
     return FaceLattice(cone=ordered, faces=faces)
-
-
-def orbit_codim(cone) -> int:
-    """Codimension of the torus orbit attached to a cone (its dimension)."""
-    c = tuple(cone)
-    if len(set(c)) != len(c):
-        raise BadIndexError(f"cone {c} repeats a ray index")
-    return len(c)
 
 
 def quotient_group(f: "Fan", cone) -> QuotientGroup:

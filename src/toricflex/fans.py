@@ -148,10 +148,6 @@ def torus_factor_rank(f: Fan) -> int:
     return f.ambient_rank - rank(IntMatrix.from_rows(f.rays))
 
 
-def is_nondegenerate(f: Fan) -> bool:
-    return torus_factor_rank(f) == 0
-
-
 def is_complete(f: Fan) -> bool:
     """Facet-pairing completeness test.
 
@@ -186,12 +182,13 @@ def _pair_finding(f: Fan, ia: int, ib: int) -> str | None:
     union has at most n rays, since n + 1 vectors in rank n are always
     dependent; two distinct full-dimensional cones never pass it.
     Otherwise an exact integer LP (intlinalg.positive_circuit) finds a
-    dependency outside the shared rays if there is one.  Only then is the
-    membership test run, to give the more pointed message when a ray of
-    one cone lies inside the other without being shared; such a ray makes
-    the rays dependent and its coefficients are a feasible point of the
-    LP, so the test never fires on a pair the LP passes.  Otherwise the
-    diagnostic names the rays of the circuit.
+    dependency outside the shared rays if there is one.  Only then does
+    the same LP run on single rays (conegeom.cone_contains asks it whether
+    one ray is a nonnegative combination of the other cone's rays), to give
+    the more pointed message when a ray of one cone lies inside the other
+    without being shared; that combination is also a feasible point of the
+    pair LP, so the test never fires on a pair the LP passes.  Otherwise
+    the diagnostic names the rays of the circuit.
     """
     ca, cb = f.max_cones[ia], f.max_cones[ib]
     shared = set(ca) & set(cb)

@@ -250,18 +250,6 @@ def rank(m: IntMatrix) -> int:
     return _bareiss(m)[0]
 
 
-def kernel_basis(m: IntMatrix) -> tuple[Vector, ...]:
-    """Basis of the integer kernel {x : m @ x == 0}, possibly empty.
-
-    The returned vectors are the trailing columns of the Smith normal form
-    right transform, so they generate the full kernel lattice, not just a
-    finite-index sublattice.
-    """
-    res = snf(m)
-    r = len(res.invariant_factors)
-    return tuple(res.v.column(j) for j in range(r, m.cols))
-
-
 def positive_circuit(m: IntMatrix, weights) -> tuple[int, ...] | None:
     """Support of a vertex of {z >= 0 : m @ z == 0, weights . z == 1}, or None.
 
@@ -331,29 +319,6 @@ def positive_circuit(m: IntMatrix, weights) -> tuple[int, ...] | None:
     if cost[-1] != 0:
         return None
     return tuple(sorted(j for j, row in zip(basis, rows) if j < nc and row[-1] != 0))
-
-
-def adjugate(m: IntMatrix) -> IntMatrix:
-    """Adjugate matrix: m @ adjugate(m) == det(m) * identity."""
-    if m.rows != m.cols:
-        raise NonSquareError(f"adjugate needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 1:
-        return IntMatrix.from_rows([[1]])
-    grid = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = IntMatrix.from_rows(
-                [
-                    [m.entries[r][c] for c in range(n) if c != i]
-                    for r in range(n)
-                    if r != j
-                ]
-            )
-            row.append((-1) ** (i + j) * det(minor))
-        grid.append(row)
-    return IntMatrix.from_rows(grid)
 
 
 def primitivize(v) -> Vector:

@@ -1,25 +1,23 @@
-"""Cone geometry tests: facet normals, membership, faces, quotients."""
+"""Cone geometry tests: membership, faces, quotients.
+
+Membership is held against a Cramer's-rule oracle that shares no code
+with the phase-one LP behind cone_contains.
+"""
 
 import math
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toricflex.conegeom import (
-    _span_frame,
-    cone_contains,
-    face_lattice,
-    facet_normals,
-    orbit_codim,
-    quotient_group,
-)
+from toricflex.conegeom import cone_contains, face_lattice, quotient_group
 from toricflex.errors import (
     BadIndexError,
     DimensionMismatchError,
     NotFullDimensionalError,
 )
-from toricflex.fans import Fan, fan_punctured_affine, make_fan
+from toricflex.fans import Fan, fan_projective_space, fan_punctured_affine, make_fan
 from toricflex.intlinalg import IntMatrix, det, primitivize, rank, snf
 
 
@@ -32,73 +30,45 @@ def the_cone(f):
     return f.max_cones[0]
 
 
-class TestFacetNormals:
-    def test_quadrant(self):
-        f = single_cone_fan(2, [(1, 0), (0, 1)])
-        # canonical ray order: (0,1) first
-        assert f.rays == ((0, 1), (1, 0))
-        assert facet_normals(f, (0, 1)) == ((0, 1), (1, 0))
+def cramer_contains(gens, point):
+    """Membership in the cone on independent generators, by Cramer's rule.
 
-    def test_skew_cone(self):
-        f = single_cone_fan(2, [(1, 0), (1, 2)])
-        assert f.rays == ((1, 0), (1, 2))
-        assert facet_normals(f, (0, 1)) == ((2, -1), (0, 1))
-
-    def test_third_quadrant_edge_cone(self):
-        # Normal 0 is dual to generator (-1,-1), normal 1 to (0,1); both
-        # evaluate to 0 on the other generator and 1 on their own.
-        f = single_cone_fan(2, [(0, 1), (-1, -1)])
-        assert f.rays == ((-1, -1), (0, 1))
-        assert facet_normals(f, (0, 1)) == ((-1, 0), (-1, 1))
-
-    def test_lower_dimensional_cone(self):
-        f = fan_punctured_affine(3)
-        ray_index = f.rays.index((1, 0, 0))
-        (normal,) = facet_normals(f, (ray_index,))
-        assert sum(a * b for a, b in zip(normal, (1, 0, 0))) > 0
-        assert math.gcd(*normal) == 1
-
-    def test_zero_cone_has_no_facets(self):
-        f = fan_punctured_affine(2)
-        assert facet_normals(f, ()) == ()
-
-    def test_bad_index(self):
-        f = fan_punctured_affine(2)
-        with pytest.raises(BadIndexError):
-            facet_normals(f, (5,))
-
-    @settings(deadline=None)
-    @given(
-        st.integers(2, 4).flatmap(
-            lambda n: st.lists(
-                st.tuples(*[st.integers(-4, 4)] * n).filter(any),
-                min_size=1,
-                max_size=n,
-                unique=True,
+    Takes the first k coordinates on which the generators' k-by-k minor is
+    nonzero, solves there for the coefficients N_i / D, then checks that
+    the combination reproduces the point in every coordinate and that no
+    coefficient is negative.  This is the oracle for cone_contains.
+    """
+    k, n = len(gens), len(point)
+    for rows in combinations(range(n), k):
+        d = det(IntMatrix.from_rows([[g[r] for g in gens] for r in rows]))
+        if d != 0:
+            break
+    else:
+        raise ValueError(f"generators {gens} are dependent")
+    nums = [
+        det(
+            IntMatrix.from_rows(
+                [[point[r] if j == i else gens[j][r] for j in range(k)] for r in rows]
             )
         )
+        for i in range(k)
+    ]
+    if any(sum(c * g[r] for c, g in zip(nums, gens)) != d * point[r] for r in range(n)):
+        return False
+    return all(c * d >= 0 for c in nums)
+
+
+@st.composite
+def independent_cones(draw):
+    """A fan with one maximal cone on k <= n <= 5 independent primitive rays."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    raw = draw(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * n).filter(any), min_size=k, max_size=k)
     )
-    def test_evaluation_pattern(self, raw_vectors):
-        vectors = []
-        for v in raw_vectors:
-            p = primitivize(v)
-            if p not in vectors:
-                vectors.append(p)
-        n = len(raw_vectors[0])
-        if rank(IntMatrix.from_rows(vectors)) != len(vectors):
-            return  # dependent sample: not a simplicial cone
-        f = single_cone_fan(n, vectors)
-        cone = the_cone(f)
-        normals = facet_normals(f, cone)
-        gens = [f.rays[i] for i in cone]
-        for i, normal in enumerate(normals):
-            assert math.gcd(*normal) == 1
-            for j, gen in enumerate(gens):
-                value = sum(a * b for a, b in zip(normal, gen))
-                if i == j:
-                    assert value > 0
-                else:
-                    assert value == 0
+    vectors = list(dict.fromkeys(primitivize(v) for v in raw))
+    assume(len(vectors) == k and rank(IntMatrix.from_rows(vectors)) == k)
+    return single_cone_fan(n, vectors)
 
 
 class TestConeContains:
@@ -132,12 +102,68 @@ class TestConeContains:
         with pytest.raises(DimensionMismatchError):
             cone_contains(f, (0,), (1, 0, 0))
 
+    def test_bad_index(self):
+        f = fan_punctured_affine(2)
+        with pytest.raises(BadIndexError):
+            cone_contains(f, (5,), (1, 0))
+
     def test_interior_of_skew_cone(self):
         f = single_cone_fan(2, [(1, 0), (1, 2)])
         assert cone_contains(f, (0, 1), (1, 1))
         assert cone_contains(f, (0, 1), (2, 1))
         assert not cone_contains(f, (0, 1), (0, 1))
         assert not cone_contains(f, (0, 1), (1, 3))
+
+    def test_dependent_generators_get_an_answer(self):
+        # Three rays in the plane are dependent.  The rays of P^2 span the
+        # whole plane; (1,0), (1,1), (1,2) span the wedge 0 <= y <= 2x.
+        f = fan_projective_space(2)
+        assert cone_contains(f, (0, 1, 2), (3, -5))
+        assert cone_contains(f, (0, 1, 2), (0, 0))
+        g = make_fan(2, [(1, 0), (1, 1), (1, 2)], [(0,), (1,), (2,)])
+        assert cone_contains(g, (0, 1, 2), (3, 5))
+        assert not cone_contains(g, (0, 1, 2), (3, 7))
+        assert not cone_contains(g, (0, 1, 2), (0, 1))
+        assert not cone_contains(g, (0, 1, 2), (-1, 0))
+
+    @settings(deadline=None, max_examples=300)
+    @given(independent_cones(), st.data())
+    def test_matches_cramer_oracle(self, f, data):
+        cone = the_cone(f)
+        gens = [f.rays[i] for i in cone]
+        n, k = f.ambient_rank, len(gens)
+
+        def combination(coeffs):
+            return tuple(sum(c * g[r] for c, g in zip(coeffs, gens)) for r in range(n))
+
+        def coefficients(low):
+            return data.draw(st.lists(st.integers(low, 4), min_size=k, max_size=k))
+
+        mixed = coefficients(-4)
+        boundary = coefficients(0)
+        boundary[data.draw(st.integers(0, k - 1))] = 0
+        negative = coefficients(0)
+        negative[data.draw(st.integers(0, k - 1))] = -data.draw(st.integers(1, 4))
+        # (point, the answer it must get, or None where only the oracle knows)
+        cases = [
+            (combination(mixed), all(c >= 0 for c in mixed)),
+            (combination(boundary), True),
+            (combination(negative), False),
+            ((0,) * n, True),
+            (data.draw(st.tuples(*[st.integers(-6, 6)] * n)), None),
+        ]
+        if k < n:
+            off = data.draw(
+                st.tuples(*[st.integers(-3, 3)] * n).filter(
+                    lambda v: rank(IntMatrix.from_rows(gens + [v])) == k + 1
+                )
+            )
+            cases.append((tuple(a + b for a, b in zip(combination(boundary), off)), False))
+        for point, expected in cases:
+            want = cramer_contains(gens, point)
+            if expected is not None:
+                assert want is expected, (gens, point)
+            assert cone_contains(f, cone, point) is want, (gens, point)
 
 
 class TestFaceLattice:
@@ -162,18 +188,7 @@ class TestFaceLattice:
 
     def test_codims_match_cardinality(self):
         for face, dim in face_lattice((2, 5, 7)).faces:
-            assert orbit_codim(face) == dim == len(face)
-
-
-class TestOrbitCodim:
-    def test_values(self):
-        assert orbit_codim(()) == 0
-        assert orbit_codim((3,)) == 1
-        assert orbit_codim((0, 4, 9)) == 3
-
-    def test_repeated_index(self):
-        with pytest.raises(BadIndexError):
-            orbit_codim((1, 1))
+            assert dim == len(face)
 
 
 class TestQuotientGroup:
@@ -233,16 +248,3 @@ class TestQuotientGroup:
         all_factors = snf(gens).invariant_factors
         assert q.order == math.prod(all_factors)
         assert q.invariant_factors == tuple(x for x in all_factors if x > 1)
-
-
-class TestSpanFrameCache:
-    def test_cache_is_bounded_and_keeps_its_counters(self):
-        _span_frame.cache_clear()
-        f = single_cone_fan(3, [(1, 0, 0), (0, 1, 0)])
-        cone_contains(f, the_cone(f), (1, 1, 0))
-        cone_contains(f, the_cone(f), (0, 0, 1))
-        info = _span_frame.cache_info()
-        assert info.maxsize is not None and info.maxsize > 0
-        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-        _span_frame.cache_clear()
-        assert _span_frame.cache_info().currsize == 0

@@ -32,7 +32,6 @@ from toricflex.fans import (
     fan_to_json,
     first_nonsmooth_cone,
     is_complete,
-    is_nondegenerate,
     is_smooth_cone,
     is_smooth_fan,
     iterated_star_subdivisions,
@@ -45,7 +44,9 @@ from toricflex.fans import (
 )
 from toricflex.fans import _pair_finding
 from toricflex.conegeom import cone_contains
-from toricflex.intlinalg import IntMatrix, kernel_basis, positive_circuit, rank
+from toricflex.intlinalg import IntMatrix, positive_circuit, rank
+
+from oracles import kernel_basis
 
 P2_DIGEST = "41837965ad3f42ad087b653b59d3eed577ce290ed5a871c7c06f3a6658ed06ce"
 
@@ -417,7 +418,7 @@ class TestPredicates:
     def test_degenerate_fan(self):
         f = make_fan(2, [(1, 0)], [(0,)])
         assert torus_factor_rank(f) == 1
-        assert not is_nondegenerate(f)
+        assert torus_factor_rank(f) > 0
         assert is_smooth_fan(f)
 
     def test_torus_factor_rank_with_no_rays(self):

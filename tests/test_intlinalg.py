@@ -16,15 +16,15 @@ from hypothesis import strategies as st
 from toricflex.errors import DimensionMismatchError, NonSquareError, ZeroVectorError
 from toricflex.intlinalg import (
     IntMatrix,
-    adjugate,
     det,
     extends_to_z_basis,
-    kernel_basis,
     positive_circuit,
     primitivize,
     rank,
     snf,
 )
+
+from oracles import kernel_basis
 
 
 def cofactor_det(m: IntMatrix) -> int:
@@ -287,25 +287,6 @@ class TestPositiveCircuit:
             assert not circuits
         else:
             assert support in circuits
-
-
-class TestAdjugate:
-    def test_single_entry(self):
-        assert adjugate(IntMatrix.from_rows([[7]])).entries == ((1,),)
-
-    def test_non_square(self):
-        with pytest.raises(NonSquareError):
-            adjugate(IntMatrix.from_rows([[1, 2]]))
-
-    @settings(deadline=None)
-    @given(int_matrices(max_dim=4).filter(lambda m: m.rows == m.cols))
-    def test_defining_identity(self, m):
-        n = m.rows
-        d = det(m)
-        scaled_identity = IntMatrix.from_rows(
-            [[d if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-        assert m @ adjugate(m) == scaled_identity
 
 
 class TestPrimitivize:
