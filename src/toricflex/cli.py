@@ -31,6 +31,7 @@ from .fans import (
     Fan,
     FanReport,
     fan_affine_space,
+    fan_diagnostics,
     fan_from_json,
     fan_hirzebruch,
     fan_product,
@@ -199,9 +200,11 @@ def _parse_cone(text: str) -> tuple[int, ...]:
 
 def _cmd_subdivide(args: argparse.Namespace) -> int:
     fan = _load_fan(args.input)
-    report = validate_fan(fan)
-    if not report.valid:
-        for line in report.diagnostics:
+    # Only the axioms are checked here: star_subdivision tests smoothness
+    # itself, after the cone, so the exit codes come in the order 1, 2, 3.
+    diagnostics = fan_diagnostics(fan)
+    if diagnostics:
+        for line in diagnostics:
             print(f"toricflex: finding: {line}", file=sys.stderr)
         return _fail(EXIT_INVALID_FAN, "refusing to subdivide an invalid fan")
     child = star_subdivision(fan, _parse_cone(args.cone))

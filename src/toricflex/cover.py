@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, fields
-from itertools import chain
 
 from .conegeom import (
     Cone,
@@ -28,14 +27,13 @@ from .errors import (
     CertificateFormatError,
     DegenerateError,
     FanFormatError,
-    InvalidFanError,
     NotSmoothError,
 )
 from .fans import (
     Fan,
     FanReport,
+    _hypothesis_failures,
     fan_digest,
-    first_nonsmooth_cone,
     is_smooth_cone,
     report_from_dict,
     report_to_dict,
@@ -43,7 +41,7 @@ from .fans import (
     validate_fan,
 )
 from .intlinalg import IntMatrix, rank
-from .jsonfmt import pretty_json
+from .jsonfmt import face_pairs, pretty_json
 
 KIND_AFFINE_SPACE = "AffineSpace"
 KIND_FLEXIBLE_COMPLEMENT = "FlexibleComplement"
@@ -205,15 +203,8 @@ def build_cover(f: Fan) -> CoverCertificate:
     byte-stable across runs.
     """
     report = validate_fan(f)
-    if not report.valid:
-        raise InvalidFanError("fan is invalid: " + "; ".join(report.diagnostics))
-    if not report.smooth:
-        raise NotSmoothError(f"maximal cone {first_nonsmooth_cone(f)} is not smooth")
-    if not report.nondegenerate:
-        raise DegenerateError(
-            "fan rays do not span the ambient space; "
-            f"torus_factor_rank = {report.torus_factor_rank}"
-        )
+    for failure in _hypothesis_failures(f, report):
+        raise failure
     charts = tuple(_chart(f, i) for i in range(len(f.max_cones)))
     return CoverCertificate(
         format_version=FORMAT_VERSION,
@@ -330,14 +321,23 @@ def _chart_findings(f: Fan, ch: ChartCertificate, smooth: bool) -> list[str]:
         out.append(
             f"{tag}: quotient invariant factors "
             f"{list(ch.quotient.invariant_factors)} differ from recomputed "
-            f"{list(actual_q.invariant_factors)}"
+            f"[{', '.join(map(_int_text, actual_q.invariant_factors))}]"
         )
     if ch.quotient.order != actual_q.order:
         out.append(
             f"{tag}: quotient order {ch.quotient.order} differs from "
-            f"recomputed {actual_q.order}"
+            f"recomputed {_int_text(actual_q.order)}"
         )
     return out
+
+
+def _int_text(x: int) -> str:
+    # A recomputed quotient can exceed the interpreter's digit limit for
+    # str() (sys.get_int_max_str_digits); such a value is named by its size.
+    try:
+        return str(x)
+    except ValueError:
+        return f"an integer of {x.bit_length()} bits"
 
 
 def _complement_findings(tag: str, faces, expected: dict[Cone, int]) -> list[str]:
@@ -410,20 +410,10 @@ def verify_certificate(f: Fan, cert: CoverCertificate) -> VerificationReport:
                     f"report field {key}: certificate says {stored[key]!r}, "
                     f"recomputation gives {recomputed[key]!r}"
                 )
-    if not actual_report.valid:
-        findings.append(
-            "hypothesis failure: fan is invalid: "
-            + "; ".join(actual_report.diagnostics)
-        )
-    if not actual_report.smooth:
-        findings.append(
-            f"hypothesis failure: maximal cone {first_nonsmooth_cone(f)} is not smooth"
-        )
-    if not actual_report.nondegenerate:
-        findings.append(
-            "hypothesis failure: fan rays do not span the ambient space; "
-            f"torus_factor_rank = {actual_report.torus_factor_rank}"
-        )
+    findings.extend(
+        f"hypothesis failure: {failure}"
+        for failure in _hypothesis_failures(f, actual_report)
+    )
 
     counts: Counter[object] = Counter(ch.cone_index for ch in cert.charts)
     valid_indices = set(range(len(f.max_cones)))
@@ -529,19 +519,12 @@ def _chart_from_dict(doc, position: int) -> ChartCertificate:
 
 
 def _complement_from_list(faces: list, where: str) -> tuple[tuple[Cone, int], ...]:
-    # One scan by type over all entries accepts the usual document: each
-    # entry a two-item list of a list of plain ints and a plain int.  Any
-    # other document takes the per-entry check, which decides acceptance
-    # (bools are refused, int and list subclasses accepted) and the message.
-    if set(map(type, faces)) <= {list} and set(map(len, faces)) <= {2}:
-        rays = [entry[0] for entry in faces]
-        codims = [entry[1] for entry in faces]
-        if (
-            set(map(type, rays)) <= {list}
-            and set(map(type, codims)) <= {int}
-            and set(map(type, chain.from_iterable(rays))) <= {int}
-        ):
-            return tuple(zip(map(tuple, rays), codims))
+    # The usual document, the shape the writer renders as face pairs, is
+    # accepted by one scan by type.  Any other document takes the per-entry
+    # check, which decides acceptance (bools are refused; an empty face and
+    # int or list subclasses are accepted) and the message.
+    if set(map(type, faces)) == {list} and face_pairs(faces):
+        return tuple([(tuple(face), codim) for face, codim in faces])
     parsed = []
     for entry in faces:
         if (

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from itertools import combinations
 
@@ -20,11 +21,13 @@ from .errors import (
     BadConeError,
     BadIndexError,
     BadParameterError,
+    DegenerateError,
     FanFormatError,
     InvalidFanError,
     NotPureError,
     NotSimplicialError,
     NotSmoothError,
+    ToolkitError,
 )
 from .intlinalg import (
     IntMatrix,
@@ -203,18 +206,13 @@ def _pair_finding(f: Fan, ia: int, ib: int) -> str | None:
     support = positive_circuit(m, weights)
     if support is None:
         return None
-    for idx in cb:
-        if idx not in shared and cone_contains(f, ca, f.rays[idx]):
-            return (
-                f"ray {idx} {f.rays[idx]} of maximal cone {cb} lies in "
-                f"maximal cone {ca} but is not a shared ray"
-            )
-    for idx in ca:
-        if idx not in shared and cone_contains(f, cb, f.rays[idx]):
-            return (
-                f"ray {idx} {f.rays[idx]} of maximal cone {ca} lies in "
-                f"maximal cone {cb} but is not a shared ray"
-            )
+    for own, other in ((cb, ca), (ca, cb)):
+        for idx in own:
+            if idx not in shared and cone_contains(f, other, f.rays[idx]):
+                return (
+                    f"ray {idx} {f.rays[idx]} of maximal cone {own} lies in "
+                    f"maximal cone {other} but is not a shared ray"
+                )
     left = [ca[j] for j in support if j < len(ca)]
     right = [cb[j - len(ca)] for j in support if j >= len(ca)]
     return (
@@ -224,13 +222,13 @@ def _pair_finding(f: Fan, ia: int, ib: int) -> str | None:
     )
 
 
-def validate_fan(f: Fan) -> FanReport:
-    """Check the fan axioms and report every problem found.
+def fan_diagnostics(f: Fan) -> tuple[str, ...]:
+    """Check the fan axioms and return every problem found, in this order.
 
-    Diagnostics cover: no maximal cones, rays unused by every cone,
-    duplicated maximal cones, a maximal cone contained in another, and
-    pairs of maximal cones whose intersection is not their shared face.
-    The fan is valid exactly when the list is empty.
+    No maximal cones, rays unused by every cone, duplicated maximal cones,
+    maximal cones that are faces of others, and then the pairs of maximal
+    cones whose intersection is not their shared face.  The fan is valid
+    exactly when the tuple is empty.
     """
     diags: list[str] = []
     if not f.max_cones:
@@ -240,38 +238,31 @@ def validate_fan(f: Fan) -> FanReport:
         if i not in used:
             diags.append(f"ray {i} {ray} is not used by any maximal cone")
 
-    seen: set[Cone] = set()
-    duplicated: set[Cone] = set()
-    for c in f.max_cones:
-        if c in seen and c not in duplicated:
+    for c, count in Counter(f.max_cones).items():
+        if count > 1:
             diags.append(f"maximal cone {c} appears more than once")
-            duplicated.add(c)
-        seen.add(c)
 
     sets = [frozenset(c) for c in f.max_cones]
-    skip: set[tuple[int, int]] = set()
+    contained: list[str] = []
+    overlaps: list[str] = []
     for a, b in combinations(range(len(f.max_cones)), 2):
         if sets[a] == sets[b]:
-            skip.add((a, b))
             continue
-        if sets[a] < sets[b]:
-            diags.append(
-                f"maximal cone {f.max_cones[a]} is a face of maximal cone {f.max_cones[b]}"
+        if sets[a] < sets[b] or sets[b] < sets[a]:
+            face, cone = (a, b) if sets[a] < sets[b] else (b, a)
+            contained.append(
+                f"maximal cone {f.max_cones[face]} is a face of maximal cone {f.max_cones[cone]}"
             )
-            skip.add((a, b))
-        elif sets[b] < sets[a]:
-            diags.append(
-                f"maximal cone {f.max_cones[b]} is a face of maximal cone {f.max_cones[a]}"
-            )
-            skip.add((a, b))
+        else:
+            finding = _pair_finding(f, a, b)
+            if finding is not None:
+                overlaps.append(finding)
+    return tuple(diags + contained + overlaps)
 
-    for a, b in combinations(range(len(f.max_cones)), 2):
-        if (a, b) in skip:
-            continue
-        finding = _pair_finding(f, a, b)
-        if finding is not None:
-            diags.append(finding)
 
+def validate_fan(f: Fan) -> FanReport:
+    """The fan's diagnostics (fan_diagnostics) and its predicates."""
+    diags = fan_diagnostics(f)
     valid = not diags
     pure = bool(f.max_cones) and all(len(c) == f.ambient_rank for c in f.max_cones)
     complete = is_complete(f) if valid and pure else False
@@ -283,8 +274,29 @@ def validate_fan(f: Fan) -> FanReport:
         nondegenerate=tfr == 0,
         complete=complete,
         torus_factor_rank=tfr,
-        diagnostics=tuple(diags),
+        diagnostics=diags,
     )
+
+
+def _not_smooth(cone: Cone) -> NotSmoothError:
+    return NotSmoothError(f"maximal cone {cone} is not smooth")
+
+
+def _hypothesis_failures(f: Fan, report: FanReport) -> Iterator[ToolkitError]:
+    """The cover hypotheses (valid, smooth, nondegenerate) the fan fails.
+
+    Yields one error per failure, lazily and in the order the exit codes
+    are checked; build_cover raises the first, verify_certificate reports each.
+    """
+    if not report.valid:
+        yield InvalidFanError("fan is invalid: " + "; ".join(report.diagnostics))
+    if not report.smooth:
+        yield _not_smooth(first_nonsmooth_cone(f))
+    if not report.nondegenerate:
+        yield DegenerateError(
+            "fan rays do not span the ambient space; "
+            f"torus_factor_rank = {report.torus_factor_rank}"
+        )
 
 
 def star_subdivision(f: Fan, cone) -> Fan:
@@ -303,8 +315,9 @@ def star_subdivision(f: Fan, cone) -> Fan:
     cset = set(c)
     if not any(cset <= set(mc) for mc in f.max_cones):
         raise BadConeError(f"cone {c} is not a face of any maximal cone")
-    if not is_smooth_fan(f):
-        raise NotSmoothError(f"maximal cone {first_nonsmooth_cone(f)} is not smooth")
+    bad = first_nonsmooth_cone(f)
+    if bad is not None:
+        raise _not_smooth(bad)
 
     gens = [f.rays[i] for i in c]
     new_ray = primitivize(tuple(sum(col) for col in zip(*gens)))
@@ -319,25 +332,21 @@ def star_subdivision(f: Fan, cone) -> Fan:
     return make_fan(f.ambient_rank, f.rays + (new_ray,), cones)
 
 
-def iterated_star_subdivisions(f: Fan, rounds: int, cone_dimension: int = 2) -> tuple[Fan, ...]:
+def iterated_star_subdivisions(f: Fan, rounds: int) -> tuple[Fan, ...]:
     """Breadth-first star subdivisions, deduplicated by canonical form.
 
-    Each round subdivides every distinct face of the given dimension in
-    every fan of the current frontier.  Returns the starting fan followed
-    by each new fan in first-discovery order, which is deterministic.
+    Each round subdivides every distinct 2-face in every fan of the
+    current frontier.  Returns the starting fan followed by each new fan
+    in first-discovery order, which is deterministic.
     """
     _need_positive("rounds", rounds)
-    if isinstance(cone_dimension, bool) or not isinstance(cone_dimension, int) or cone_dimension < 2:
-        raise BadParameterError(
-            f"cone_dimension must be an integer of at least 2, got {cone_dimension!r}"
-        )
     seen: dict[bytes, Fan] = {canonical_fan_bytes(f): f}
     frontier = list(seen.values())
     for _ in range(rounds):
         fresh: list[Fan] = []
         for fan in frontier:
             faces = sorted(
-                {sub for mc in fan.max_cones for sub in combinations(mc, cone_dimension)}
+                {sub for mc in fan.max_cones for sub in combinations(mc, 2)}
             )
             for face in faces:
                 child = star_subdivision(fan, face)

@@ -55,7 +55,7 @@ def _pretty(o, nl: str) -> str:
     types = set(map(type, o))
     if types <= {int}:
         body = sep.join(map(int.__repr__, o))
-    elif types == {list} and _face_pairs(o):
+    elif types == {list} and face_pairs(o):
         deeper = inner + _INDENT
         face_sep = "," + deeper + _INDENT
         pair = (
@@ -73,8 +73,9 @@ def _pretty(o, nl: str) -> str:
     return "".join(("[", inner, body, nl, "]"))
 
 
-def _face_pairs(o: list) -> bool:
-    # Each entry a two-item list: a nonempty list of plain ints, then a plain int.
+def face_pairs(o: list) -> bool:
+    """Whether each entry of a list of lists is a complement-face pair:
+    a two-item list of a nonempty list of plain ints, then a plain int."""
     if set(map(len, o)) != {2}:
         return False
     faces = [entry[0] for entry in o]

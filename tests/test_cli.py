@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import math
+import sys
 from unittest import mock
 
 import pytest
@@ -318,6 +319,27 @@ def test_hostile_input_is_a_usage_error(tmp_path, monkeypatch, capsys, files, ar
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_verify_names_a_recomputed_quotient_too_long_to_print(tmp_path, monkeypatch, capsys):
+    # The reader accepts the trivial quotients; the recomputed order,
+    # _A^2 - 1, has more digits than str() may print.
+    doc = certificate_to_dict(build_cover(fan_from_json(LONG_QUOTIENT_FAN)))
+    for chart in doc["charts"]:
+        chart["quotient"] = {"invariant_factors": [], "order": 1}
+    (tmp_path / "fan.json").write_text(LONG_QUOTIENT_FAN, encoding="utf-8")
+    (tmp_path / "cert.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    limit = sys.get_int_max_str_digits()
+    assert main(["verify", "--input", "fan.json", "--cert", "cert.json"]) == 4
+    assert sys.get_int_max_str_digits() == limit
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    size = f"an integer of {(_A * _A - 1).bit_length()} bits"
+    for i in range(3):
+        tag = f"toricflex: finding: chart for maximal cone {i}: quotient"
+        assert f"{tag} invariant factors [] differ from recomputed [{size}]\n" in err
+        assert f"{tag} order 1 differs from recomputed {size}\n" in err
 
 
 def test_stdin_is_decoded_as_utf8_whatever_the_locale(tmp_path, monkeypatch, capsys):

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricflex import intlinalg
+from toricflex.cli import main
 from toricflex.conegeom import QuotientGroup, face_lattice
 from toricflex.cover import (
     CITATIONS,
@@ -41,6 +42,7 @@ from toricflex.fans import (
     fan_product,
     fan_projective_space,
     fan_punctured_affine,
+    fan_to_json,
     make_fan,
     star_subdivision,
     torus_factor_rank,
@@ -173,6 +175,47 @@ class TestBuildCover:
         assert "torus_factor_rank = 1" in str(err.value)
 
 
+# Fans that fail the cover hypotheses, alone and together, with the error
+# build_cover raises (the first failure in exit-code order) and, for those
+# that are not smooth, a 2-face to subdivide at.
+HYPOTHESIS_FAILURES = [
+    pytest.param(2, [(1, 0), (0, 1)], [(0, 1), (0, 1)], InvalidFanError, None, id="invalid"),
+    pytest.param(2, [(1, 0), (1, 2)], [(0, 1)], NotSmoothError, (0, 1), id="nonsmooth"),
+    pytest.param(2, [(1, 0)], [(0,)], DegenerateError, None, id="degenerate"),
+    pytest.param(
+        2, [(1, 0), (1, 2)], [(0, 1), (0, 1)], InvalidFanError, (0, 1),
+        id="invalid-and-nonsmooth",
+    ),
+    pytest.param(
+        3, [(1, 0, 0), (1, 2, 0)], [(0, 1)], NotSmoothError, (0, 1),
+        id="degenerate-and-nonsmooth",
+    ),
+]
+
+
+@pytest.mark.parametrize("rank_, rays, cones, first, face", HYPOTHESIS_FAILURES)
+def test_one_hypothesis_rule_words_cover_verify_and_subdivide(rank_, rays, cones, first, face):
+    f = make_fan(rank_, rays, cones)
+    prefix = "hypothesis failure: "
+    findings = [
+        s[len(prefix):]
+        for s in verify_certificate(f, build_cover(fan_projective_space(2))).findings
+        if s.startswith(prefix)
+    ]
+    with pytest.raises(first) as err:
+        build_cover(f)
+    assert str(err.value) == findings[0]
+    nonsmooth = [s for s in findings if s.endswith(" is not smooth")]
+    if face is None:
+        assert nonsmooth == []
+    else:
+        with pytest.raises(NotSmoothError) as sub_err:
+            star_subdivision(f, face)
+        assert nonsmooth == [str(sub_err.value)]
+        if first is NotSmoothError:
+            assert str(sub_err.value) == str(err.value)
+
+
 def count_calls(monkeypatch, name: str) -> list:
     """Count calls to intlinalg.<name> through every binding in toricflex."""
     calls: list = []
@@ -189,9 +232,10 @@ def count_calls(monkeypatch, name: str) -> list:
 
 
 class TestSmoothnessTestedOnce:
-    """Each maximal cone is tested for smoothness once per build or verify,
-    by validate_fan, and a full-dimensional cone's test needs no Smith form.
-    The counts are exact, so a repeated scan shows as a doubled count."""
+    """Each maximal cone is tested for smoothness once per command: by
+    validate_fan in build and verify, by star_subdivision in subdivide.  A
+    full-dimensional cone's test needs no Smith form.  The counts are
+    exact, so a repeated scan shows as a doubled count."""
 
     def test_projective_space_cover_and_verify(self, monkeypatch):
         f = fan_projective_space(5)
@@ -202,6 +246,14 @@ class TestSmoothnessTestedOnce:
         smooth_tests.clear()
         assert verify_certificate(f, cert).passed
         assert (len(smooth_tests), len(smith_forms)) == (6, 0)
+
+    def test_subdivide_tests_each_cone_once(self, monkeypatch, tmp_path):
+        path = tmp_path / "p3.json"
+        path.write_text(fan_to_json(fan_projective_space(3)), encoding="utf-8")
+        smooth_tests = count_calls(monkeypatch, "extends_to_z_basis")
+        out = str(tmp_path / "out.json")
+        assert main(["subdivide", "--input", str(path), "--cone", "0,1", "--output", out]) == 0
+        assert len(smooth_tests) == 4
 
     def test_punctured_affine_cover(self, monkeypatch):
         f = fan_punctured_affine(10)

@@ -21,6 +21,7 @@ from toricflex.fans import (
     canonical_fan_bytes,
     cone_dim,
     fan_affine_space,
+    fan_diagnostics,
     fan_digest,
     fan_from_dict,
     fan_from_json,
@@ -325,6 +326,27 @@ class TestValidateFan:
     def test_shared_face_pair_is_valid(self):
         f = make_fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
         assert validate_fan(f).valid
+
+    def test_diagnostics_are_pinned_containments_before_overlaps(self):
+        # Pair (1, 4) overlaps and comes before pair (4, 5), a containment,
+        # in pair order; the containments are still listed first.
+        f = make_fan(
+            3,
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, -1), (-1, 1, 2),
+             (0, -1, 0), (0, 0, -1), (-1, 0, 0)],
+            [(0, 1, 2), (3, 4), (5, 6), (5, 6), (0,), (4,)],
+        )
+        assert f.max_cones == ((1,), (1, 7), (2, 3), (2, 3), (4, 5, 6), (6,))
+        assert fan_diagnostics(f) == (
+            "ray 0 (-1, 0, 0) is not used by any maximal cone",
+            "maximal cone (2, 3) appears more than once",
+            "maximal cone (1,) is a face of maximal cone (1, 7)",
+            "maximal cone (6,) is a face of maximal cone (4, 5, 6)",
+            "maximal cones (1, 7) and (4, 5, 6) overlap beyond their shared rays: "
+            "a positive combination of rays [1, 7] of the first equals one of "
+            "rays [4, 5] of the second",
+        )
+        assert validate_fan(f).diagnostics == fan_diagnostics(f)
 
     def test_constructor_corpus_agrees_with_circuit_scan(self):
         for f in corpus():
