@@ -1,4 +1,4 @@
-"""Geometry of individual simplicial cones: membership, faces, quotients.
+"""Geometry of individual simplicial cones: membership and quotients.
 
 Functions here take the ambient fan plus a cone given as a tuple of ray
 indices.  They never mutate the fan and never leave integer arithmetic.
@@ -7,28 +7,15 @@ indices.  They never mutate the fan and never leave integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .errors import BadIndexError, DimensionMismatchError, NotFullDimensionalError
-from .intlinalg import IntMatrix, Vector, det, positive_circuit, snf
+from .intlinalg import IntMatrix, Vector, det, is_int, positive_circuit, snf
 
 if TYPE_CHECKING:
     from .fans import Fan
 
 Cone = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class FaceLattice:
-    """All faces of a simplicial cone, listed by ray-index subset.
-
-    Each entry pairs a sorted index tuple with its dimension; subsets are
-    ordered by size, then lexicographically, starting at the zero face ().
-    """
-
-    cone: Cone
-    faces: tuple[tuple[Cone, int], ...]
 
 
 @dataclass(frozen=True)
@@ -55,7 +42,7 @@ def check_ray_indices(cone, ray_count: int, error: type[Exception]) -> Cone:
     """
     c = tuple(cone)
     for idx in c:
-        if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < ray_count:
+        if not is_int(idx) or not 0 <= idx < ray_count:
             raise error(f"ray index {idx!r} out of range for fan with {ray_count} rays")
     if len(set(c)) != len(c):
         raise error(f"cone {c} repeats a ray index")
@@ -85,23 +72,6 @@ def cone_contains(f: "Fan", cone, point) -> bool:
     cols = gens + (tuple(-x for x in pt),)
     weights = (0,) * len(gens) + (1,)
     return positive_circuit(IntMatrix.from_rows(zip(*cols)), weights) is not None
-
-
-def face_lattice(cone) -> FaceLattice:
-    """Every face of a simplicial cone as a subset of its ray indices."""
-    c = tuple(cone)
-    for idx in c:
-        if isinstance(idx, bool) or not isinstance(idx, int) or idx < 0:
-            raise BadIndexError(f"ray index {idx!r} is not a nonnegative integer")
-    if len(set(c)) != len(c):
-        raise BadIndexError(f"cone {c} repeats a ray index")
-    ordered = tuple(sorted(c))
-    faces = tuple(
-        (sub, size)
-        for size in range(len(ordered) + 1)
-        for sub in combinations(ordered, size)
-    )
-    return FaceLattice(cone=ordered, faces=faces)
 
 
 def quotient_group(f: "Fan", cone) -> QuotientGroup:

@@ -12,23 +12,13 @@ it from the fan alone, never trusting how the certificate was produced.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from itertools import combinations
 
-from .conegeom import (
-    Cone,
-    QuotientGroup,
-    face_lattice,
-    quotient_group,
-)
-from .errors import (
-    BadIndexError,
-    CertificateFormatError,
-    DegenerateError,
-    FanFormatError,
-    NotSmoothError,
-)
+from .conegeom import Cone, QuotientGroup, quotient_group
+from .errors import CertificateFormatError, FanFormatError
 from .fans import (
     Fan,
     FanReport,
@@ -37,11 +27,10 @@ from .fans import (
     is_smooth_cone,
     report_from_dict,
     report_to_dict,
-    torus_factor_rank,
     validate_fan,
 )
-from .intlinalg import IntMatrix, rank
-from .jsonfmt import face_pairs, pretty_json
+from .intlinalg import IntMatrix, is_int, rank
+from .jsonfmt import face_pairs, load_json, pretty_json
 
 KIND_AFFINE_SPACE = "AffineSpace"
 KIND_FLEXIBLE_COMPLEMENT = "FlexibleComplement"
@@ -106,48 +95,29 @@ class VerificationReport:
     findings: tuple[str, ...]
 
 
-def _removed_faces(cprime: Cone, cone: Cone) -> tuple[tuple[Cone, int], ...]:
+def _removed_faces(cprime: Cone, cone: Cone) -> Iterator[tuple[Cone, int]]:
     # The complement rule.  A chart keeps the faces of the cone, each added
     # ray alone and the zero face.  Every face with at most one ray is one
     # of those, so the chart removes the faces of cprime with two or more
     # rays that are not faces of the cone, each of codimension its size.
+    # cprime is sorted, so the faces come by size, then lexicographically.
     kept = set(cone)
-    return tuple(
-        (face, dim)
-        for face, dim in face_lattice(cprime).faces
-        if dim > 1 and not kept.issuperset(face)
+    return (
+        (face, size)
+        for size in range(2, len(cprime) + 1)
+        for face in combinations(cprime, size)
+        if not kept.issuperset(face)
     )
 
 
-def build_chart(f: Fan, cone_index: int) -> ChartCertificate:
-    """Build the chart certificate for one maximal cone.
-
-    A full-dimensional cone yields an AffineSpace chart.  Otherwise the
-    cone's generators are completed to n rationally independent vectors by
-    scanning the fan's rays in canonical order and greedily taking any ray
-    that enlarges the span; nondegeneracy guarantees this reaches n.  The
-    scan order makes the output deterministic.
-    """
-    if (
-        isinstance(cone_index, bool)
-        or not isinstance(cone_index, int)
-        or not 0 <= cone_index < len(f.max_cones)
-    ):
-        raise BadIndexError(
-            f"cone index {cone_index!r} out of range for fan with "
-            f"{len(f.max_cones)} maximal cones"
-        )
-    c = f.max_cones[cone_index]
-    if not is_smooth_cone(f, c):
-        raise NotSmoothError(
-            f"maximal cone {c} with rays {[f.rays[i] for i in c]} is not smooth"
-        )
-    return _chart(f, cone_index)
-
-
 def _chart(f: Fan, cone_index: int) -> ChartCertificate:
-    # build_chart without its checks: the index is in range and the cone
-    # is smooth, as build_cover knows from its fan report.
+    # The chart of one maximal cone of a valid, smooth, nondegenerate fan,
+    # as build_cover knows it from the fan report.  A full-dimensional cone
+    # gives an AffineSpace chart.  Otherwise the scan over the fan's rays in
+    # canonical order takes each ray that enlarges the span; it starts from
+    # the cone's independent rays and is offered every ray of a spanning
+    # set, so it reaches rank n.  The scan order makes the output
+    # deterministic.
     c = f.max_cones[cone_index]
     n = f.ambient_rank
     k = len(c)
@@ -173,14 +143,9 @@ def _chart(f: Fan, cone_index: int) -> ChartCertificate:
         if rank(IntMatrix.from_rows(span + [candidate])) == len(span) + 1:
             span.append(candidate)
             added.append(idx)
-    if len(span) < n:
-        raise DegenerateError(
-            f"cannot complete maximal cone {c} to a rational basis; "
-            f"torus_factor_rank = {torus_factor_rank(f)}"
-        )
 
     cprime = tuple(sorted(set(c) | set(added)))
-    complement = _removed_faces(cprime, c)
+    complement = tuple(_removed_faces(cprime, c))
     return ChartCertificate(
         cone_index=cone_index,
         kind=KIND_FLEXIBLE_COMPLEMENT,
@@ -270,11 +235,7 @@ def _chart_findings(f: Fan, ch: ChartCertificate, smooth: bool) -> list[str]:
         return out
 
     added = tuple(ch.added_ray_indices)
-    bad = [
-        i
-        for i in added
-        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < len(f.rays)
-    ]
+    bad = [i for i in added if not is_int(i) or not 0 <= i < len(f.rays)]
     if bad:
         out.append(f"{tag}: added ray indices {bad} are out of range")
         return out
@@ -374,7 +335,7 @@ def _complement_findings(tag: str, faces, expected: dict[Cone, int]) -> list[str
 def verify_certificate(f: Fan, cert: CoverCertificate) -> VerificationReport:
     """Independently re-derive every claim in a cover certificate.
 
-    Uses only the fan predicates and cone geometry, never build_chart.
+    Uses only the fan predicates and cone geometry, never _chart.
     The one rule it shares with the builder is the complement rule,
     _removed_faces, which the tests hold against an independent oracle.
     All failures are reported as findings; nothing raises.
@@ -471,16 +432,14 @@ def certificate_to_dict(cert: CoverCertificate) -> dict:
 
 def _require_int(doc: dict, key: str, where: str) -> int:
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise CertificateFormatError(f"{where}: {key} must be an integer")
     return value
 
 
 def _require_int_list(doc: dict, key: str, where: str) -> tuple[int, ...]:
     value = doc[key]
-    if not isinstance(value, list) or any(
-        isinstance(x, bool) or not isinstance(x, int) for x in value
-    ):
+    if not isinstance(value, list) or not all(map(is_int, value)):
         raise CertificateFormatError(f"{where}: {key} must be a list of integers")
     return tuple(value)
 
@@ -531,9 +490,8 @@ def _complement_from_list(faces: list, where: str) -> tuple[tuple[Cone, int], ..
             not isinstance(entry, list)
             or len(entry) != 2
             or not isinstance(entry[0], list)
-            or any(isinstance(x, bool) or not isinstance(x, int) for x in entry[0])
-            or isinstance(entry[1], bool)
-            or not isinstance(entry[1], int)
+            or not all(map(is_int, entry[0]))
+            or not is_int(entry[1])
         ):
             raise CertificateFormatError(
                 f"{where}: complement_faces entries must be [ray index list, codim]"
@@ -583,22 +541,13 @@ def certificate_from_dict(doc) -> CoverCertificate:
     )
 
 
-def certificate_to_json(cert: CoverCertificate, pretty: bool = True) -> str:
+def certificate_to_json(cert: CoverCertificate) -> str:
     """Serialize a certificate; CertificateFormatError if a number is too long."""
-    doc = certificate_to_dict(cert)
     try:
-        if pretty:
-            return pretty_json(doc)
-        return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+        return pretty_json(certificate_to_dict(cert))
     except ValueError as exc:
         raise CertificateFormatError(f"certificate cannot be written as JSON: {exc}") from exc
 
 
 def certificate_from_json(text: str) -> CoverCertificate:
-    # As in fan_from_json: ValueError covers malformed text and overlong
-    # integers, RecursionError deep nesting.
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise CertificateFormatError(f"certificate is not valid JSON: {exc}") from exc
-    return certificate_from_dict(doc)
+    return certificate_from_dict(load_json(text, CertificateFormatError, "certificate"))

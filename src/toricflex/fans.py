@@ -33,11 +33,12 @@ from .intlinalg import (
     IntMatrix,
     Vector,
     extends_to_z_basis,
+    is_int,
     positive_circuit,
     primitivize,
     rank,
 )
-from .jsonfmt import pretty_json
+from .jsonfmt import load_json, pretty_json
 
 
 @dataclass(frozen=True)
@@ -78,13 +79,13 @@ def make_fan(ambient_rank, rays, max_cones) -> Fan:
     pairwise intersection condition is NOT checked here; that is the job
     of validate_fan, so that broken fans can still be loaded and reported.
     """
-    if isinstance(ambient_rank, bool) or not isinstance(ambient_rank, int) or ambient_rank < 1:
+    if not is_int(ambient_rank) or ambient_rank < 1:
         raise InvalidFanError(f"ambient_rank must be a positive integer, got {ambient_rank!r}")
     ray_list: list[Vector] = []
     for pos, ray in enumerate(rays):
         vec = tuple(ray)
         for x in vec:
-            if isinstance(x, bool) or not isinstance(x, int):
+            if not is_int(x):
                 raise InvalidFanError(f"ray {pos} has a non-integer entry {x!r}")
         if len(vec) != ambient_rank:
             raise InvalidFanError(
@@ -359,7 +360,7 @@ def iterated_star_subdivisions(f: Fan, rounds: int) -> tuple[Fan, ...]:
 
 
 def _need_positive(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if not is_int(value) or value < 1:
         raise BadParameterError(f"{name} must be a positive integer, got {value!r}")
     return value
 
@@ -381,7 +382,7 @@ def fan_projective_space(n: int) -> Fan:
 
 def fan_hirzebruch(a: int) -> Fan:
     """Fan of the degree-a ruled surface over the projective line."""
-    if isinstance(a, bool) or not isinstance(a, int) or a < 0:
+    if not is_int(a) or a < 0:
         raise BadParameterError(f"twist must be a nonnegative integer, got {a!r}")
     rays = [(1, 0), (0, 1), (-1, a), (0, -1)]
     cones = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -429,7 +430,7 @@ def fan_from_dict(doc) -> Fan:
     if missing:
         raise FanFormatError(f"fan document is missing keys: {sorted(missing)}")
     ambient = doc["rank"]
-    if isinstance(ambient, bool) or not isinstance(ambient, int):
+    if not is_int(ambient):
         raise FanFormatError("rank must be an integer")
     for key in ("rays", "max_cones"):
         rows = doc[key]
@@ -437,7 +438,7 @@ def fan_from_dict(doc) -> Fan:
             raise FanFormatError(f"{key} must be a list of integer lists")
         for row in rows:
             for x in row:
-                if isinstance(x, bool) or not isinstance(x, int):
+                if not is_int(x):
                     raise FanFormatError(f"{key} entries must be integers, got {x!r}")
     return make_fan(
         ambient,
@@ -458,14 +459,7 @@ def fan_to_json(f: Fan, pretty: bool = True) -> str:
 
 
 def fan_from_json(text: str) -> Fan:
-    # json.loads raises ValueError for malformed text and for integers
-    # longer than the interpreter's conversion limit, and RecursionError
-    # for deep nesting.
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise FanFormatError(f"fan document is not valid JSON: {exc}") from exc
-    return fan_from_dict(doc)
+    return fan_from_dict(load_json(text, FanFormatError, "fan document"))
 
 
 def canonical_fan_bytes(f: Fan) -> bytes:
@@ -500,7 +494,7 @@ def report_from_dict(doc) -> FanReport:
         if not isinstance(doc[key], bool):
             raise FanFormatError(f"report field {key} must be a boolean")
     tfr = doc["torus_factor_rank"]
-    if isinstance(tfr, bool) or not isinstance(tfr, int) or tfr < 0:
+    if not is_int(tfr) or tfr < 0:
         raise FanFormatError("torus_factor_rank must be a nonnegative integer")
     diags = doc["diagnostics"]
     if not isinstance(diags, list) or not all(isinstance(s, str) for s in diags):

@@ -16,9 +16,13 @@ from .errors import DimensionMismatchError, NonSquareError, ZeroVectorError
 Vector = tuple[int, ...]
 
 
+def is_int(x: object) -> bool:
+    """Whether x is an int; bool is an int subclass, refused so True is never 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_int(x: object) -> int:
-    # bool is an int subclass; reject it so True never sneaks in as 1.
-    if isinstance(x, bool) or not isinstance(x, int):
+    if not is_int(x):
         raise TypeError(f"matrix entries must be int, got {type(x).__name__}")
     return x
 

@@ -10,7 +10,8 @@ and dict keys go through encode_basestring_ascii, the function json.dumps
 itself uses for them, so escaping is unchanged; floats and subclasses of
 int or str go through json.dumps.  An int too long to print
 raises the same ValueError as the stdlib.  Dict keys must be strings.
-The tests check the writer against json.dumps.
+The tests check the writer against json.dumps.  load_json is the one
+reader of fan and certificate text.
 """
 
 from __future__ import annotations
@@ -20,6 +21,19 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 
 _INDENT = "  "
+
+
+def load_json(text: str, error: type[Exception], noun: str):
+    """json.loads(text), raising error("<noun> is not valid JSON: ...") on failure.
+
+    json.loads raises ValueError for malformed text and for integers longer
+    than the interpreter's conversion limit, and RecursionError for deep
+    nesting.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{noun} is not valid JSON: {exc}") from exc
 
 
 def pretty_json(doc) -> str:

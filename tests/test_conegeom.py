@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toricflex.conegeom import cone_contains, face_lattice, quotient_group
+from toricflex.conegeom import cone_contains, quotient_group
 from toricflex.errors import (
     BadIndexError,
     DimensionMismatchError,
@@ -164,31 +164,6 @@ class TestConeContains:
             if expected is not None:
                 assert want is expected, (gens, point)
             assert cone_contains(f, cone, point) is want, (gens, point)
-
-
-class TestFaceLattice:
-    def test_two_dimensional_cone(self):
-        lattice = face_lattice((1, 0))
-        assert lattice.cone == (0, 1)
-        assert lattice.faces == (
-            ((), 0),
-            ((0,), 1),
-            ((1,), 1),
-            ((0, 1), 2),
-        )
-
-    def test_sizes(self):
-        lattice = face_lattice((0, 1, 2))
-        assert len(lattice.faces) == 8
-        assert [d for _, d in lattice.faces] == [0, 1, 1, 1, 2, 2, 2, 3]
-
-    def test_repeated_index(self):
-        with pytest.raises(BadIndexError):
-            face_lattice((0, 0))
-
-    def test_codims_match_cardinality(self):
-        for face, dim in face_lattice((2, 5, 7)).faces:
-            assert dim == len(face)
 
 
 class TestQuotientGroup:

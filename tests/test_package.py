@@ -1,14 +1,19 @@
 """The public surface of the package: what it exports, and what it no longer does."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import toricflex
 
 # Deleted from the library, or (kernel_basis) moved into the tests.
 REMOVED = (
+    "FaceLattice",
     "_span_frame",
     "adjugate",
+    "build_chart",
+    "face_lattice",
     "facet_normals",
     "is_nondegenerate",
     "kernel_basis",
@@ -40,3 +45,44 @@ def test_removed_names_are_gone():
     assert len(modules) > 1
     for module in modules:
         assert [name for name in REMOVED if hasattr(module, name)] == [], module.__name__
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, including those in string annotations."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    trees = [tree] + [
+        ast.parse(node.value, mode="eval")
+        for root in annotations
+        if root is not None
+        for node in ast.walk(root)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    return {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
+
+
+def test_no_unused_imports():
+    # __init__ imports names only to export them.
+    paths = sorted(Path(toricflex.__file__).parent.glob("*.py"))
+    assert len(paths) > 1
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert sorted(imported_names(tree) - used_names(tree)) == [], path.name
