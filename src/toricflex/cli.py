@@ -70,6 +70,16 @@ EXIT_CODES = {
 # test per maximal cone), so `example` refuses larger ranks outright.
 MAX_EXAMPLE_RANK = 32
 
+# The named examples: how many --param values each takes, and its builder.
+# The order is the order of the --name choices in help and usage text.
+EXAMPLES = {
+    "affine": (1, fan_affine_space),
+    "projective": (1, fan_projective_space),
+    "hirzebruch": (1, fan_hirzebruch),
+    "product": (2, lambda a, b: fan_product(fan_projective_space(a), fan_projective_space(b))),
+    "punctured": (1, fan_punctured_affine),
+}
+
 
 def _read_text(path: str) -> str:
     # Standard input is decoded like a file, as strict UTF-8 whatever the
@@ -88,8 +98,12 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _fail(code: int, message: str) -> int:
+def _note(message: str) -> None:
     print(f"toricflex: {message}", file=sys.stderr)
+
+
+def _fail(code: int, message: str) -> int:
+    _note(message)
     return code
 
 
@@ -113,7 +127,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     report = validate_fan(fan)
     print(_summary(report))
     for line in report.diagnostics:
-        print(f"toricflex: finding: {line}", file=sys.stderr)
+        _note(f"finding: {line}")
     return EXIT_OK if report.valid else EXIT_INVALID_FAN
 
 
@@ -129,11 +143,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     cert = build_cover(fan)
     if args.verbose:
         kinds = ", ".join(sorted({ch.kind for ch in cert.charts}))
-        print(
-            f"toricflex: built {len(cert.charts)} charts ({kinds}); "
-            f"a_covered = {cert.a_covered}",
-            file=sys.stderr,
-        )
+        _note(f"built {len(cert.charts)} charts ({kinds}); a_covered = {cert.a_covered}")
     _write_text(args.output, certificate_to_json(cert))
     return EXIT_OK
 
@@ -143,21 +153,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cert = certificate_from_json(_read_text(args.cert))
     report = verify_certificate(fan, cert)
     for line in report.findings:
-        print(f"toricflex: finding: {line}", file=sys.stderr)
+        _note(f"finding: {line}")
     if report.passed:
         if args.verbose:
-            print("toricflex: certificate verified", file=sys.stderr)
+            _note("certificate verified")
         return EXIT_OK
     return _fail(EXIT_VERIFY_FAILED, f"verification failed with {len(report.findings)} findings")
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
     params = args.param or []
-    if args.name == "product":
-        if len(params) != 2:
-            return _fail(EXIT_USAGE, "example product needs two --param values")
-    elif len(params) != 1:
-        return _fail(EXIT_USAGE, f"example {args.name} needs one --param value")
+    arity, builder = EXAMPLES[args.name]
+    if len(params) != arity:
+        count = "two --param values" if arity == 2 else "one --param value"
+        return _fail(EXIT_USAGE, f"example {args.name} needs {count}")
     # The builders refuse a parameter below 1 themselves; counting it as 0
     # here keeps a negative factor from hiding a huge one.  A Hirzebruch
     # surface has rank 2 whatever its twist.
@@ -167,24 +176,9 @@ def _cmd_example(args: argparse.Namespace) -> int:
             f"example {args.name} would have ambient rank {ambient}, "
             f"above the limit of {MAX_EXAMPLE_RANK}"
         )
-    if args.name == "product":
-        fan = fan_product(
-            fan_projective_space(params[0]), fan_projective_space(params[1])
-        )
-    else:
-        builder = {
-            "affine": fan_affine_space,
-            "projective": fan_projective_space,
-            "hirzebruch": fan_hirzebruch,
-            "punctured": fan_punctured_affine,
-        }[args.name]
-        fan = builder(params[0])
+    fan = builder(*params)
     if args.verbose:
-        print(
-            f"toricflex: {args.name} fan with {len(fan.rays)} rays and "
-            f"{len(fan.max_cones)} maximal cones",
-            file=sys.stderr,
-        )
+        _note(f"{args.name} fan with {len(fan.rays)} rays and {len(fan.max_cones)} maximal cones")
     _write_text(args.output, fan_to_json(fan))
     return EXIT_OK
 
@@ -205,18 +199,14 @@ def _cmd_subdivide(args: argparse.Namespace) -> int:
     diagnostics = fan_diagnostics(fan)
     if diagnostics:
         for line in diagnostics:
-            print(f"toricflex: finding: {line}", file=sys.stderr)
+            _note(f"finding: {line}")
         return _fail(EXIT_INVALID_FAN, "refusing to subdivide an invalid fan")
     child = star_subdivision(fan, _parse_cone(args.cone))
     # Serialize first: once the fan is known to be writable, its new ray
     # is also short enough to print in the note.
     text = fan_to_json(child)
     if args.verbose:
-        print(
-            f"toricflex: added ray {child.rays[-1]}; fan now has "
-            f"{len(child.max_cones)} maximal cones",
-            file=sys.stderr,
-        )
+        _note(f"added ray {child.rays[-1]}; fan now has {len(child.max_cones)} maximal cones")
     _write_text(args.output, text)
     return EXIT_OK
 
@@ -267,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--name",
         required=True,
-        choices=["affine", "projective", "hirzebruch", "product", "punctured"],
+        choices=list(EXAMPLES),
     )
     sub.add_argument(
         "--param",

@@ -4,10 +4,11 @@ For each maximal cone this module builds a chart record: a full-dimensional
 cone gives an affine space outright, while a lower-dimensional cone is
 extended to a full-dimensional pointed cone by adjoining further fan rays,
 and the chart is the extended cone's affine variety minus the toric locus
-of the faces that use an added ray.  The certificate stores everything an
-independent checker needs: the extension, its quotient group, and every
-removed face with its codimension.  verify_certificate recomputes all of
-it from the fan alone, never trusting how the certificate was produced.
+of the faces with at least two rays that use an added ray (a single added
+ray is kept).  The certificate stores everything an independent checker
+needs: the extension, its quotient group, and every removed face with its
+codimension.  verify_certificate recomputes all of it from the fan alone,
+never trusting how the certificate was produced.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .fans import (
     validate_fan,
 )
 from .intlinalg import IntMatrix, is_int, rank
-from .jsonfmt import face_pairs, load_json, pretty_json
+from .jsonfmt import face_pairs, json_object, load_json, pretty_json
 
 KIND_AFFINE_SPACE = "AffineSpace"
 KIND_FLEXIBLE_COMPLEMENT = "FlexibleComplement"
@@ -112,28 +113,14 @@ def _removed_faces(cprime: Cone, cone: Cone) -> Iterator[tuple[Cone, int]]:
 
 def _chart(f: Fan, cone_index: int) -> ChartCertificate:
     # The chart of one maximal cone of a valid, smooth, nondegenerate fan,
-    # as build_cover knows it from the fan report.  A full-dimensional cone
-    # gives an AffineSpace chart.  Otherwise the scan over the fan's rays in
-    # canonical order takes each ray that enlarges the span; it starts from
-    # the cone's independent rays and is offered every ray of a spanning
-    # set, so it reaches rank n.  The scan order makes the output
-    # deterministic.
+    # as build_cover knows it from the fan report.  The scan over the fan's
+    # rays in canonical order takes each ray that enlarges the span; it
+    # starts from the cone's independent rays and is offered every ray of a
+    # spanning set, so it reaches rank n.  The scan order makes the output
+    # deterministic.  A full-dimensional cone takes no ray and gives an
+    # AffineSpace chart: trivial quotient, empty complement.
     c = f.max_cones[cone_index]
     n = f.ambient_rank
-    k = len(c)
-    if k == n:
-        return ChartCertificate(
-            cone_index=cone_index,
-            kind=KIND_AFFINE_SPACE,
-            k=k,
-            n=n,
-            added_ray_indices=(),
-            cprime_ray_indices=c,
-            quotient=QuotientGroup(invariant_factors=(), order=1),
-            complement_faces=(),
-            min_complement_codim=n + 1,
-        )
-
     span = [f.rays[i] for i in c]
     added: list[int] = []
     for idx in range(len(f.rays)):
@@ -145,15 +132,16 @@ def _chart(f: Fan, cone_index: int) -> ChartCertificate:
             added.append(idx)
 
     cprime = tuple(sorted(set(c) | set(added)))
-    complement = tuple(_removed_faces(cprime, c))
+    # Guarded: on an affine chart the rule would try all 2^n subsets of the cone.
+    complement = tuple(_removed_faces(cprime, c)) if added else ()
     return ChartCertificate(
         cone_index=cone_index,
-        kind=KIND_FLEXIBLE_COMPLEMENT,
-        k=k,
+        kind=KIND_FLEXIBLE_COMPLEMENT if added else KIND_AFFINE_SPACE,
+        k=len(c),
         n=n,
         added_ray_indices=tuple(sorted(added)),
         cprime_ray_indices=cprime,
-        quotient=quotient_group(f, cprime),
+        quotient=quotient_group(f, cprime) if added else QuotientGroup((), 1),
         complement_faces=complement,
         min_complement_codim=min(d for _, d in complement) if complement else n + 1,
     )
@@ -446,11 +434,7 @@ def _require_int_list(doc: dict, key: str, where: str) -> tuple[int, ...]:
 
 def _chart_from_dict(doc, position: int) -> ChartCertificate:
     where = f"chart {position}"
-    if not isinstance(doc, dict):
-        raise CertificateFormatError(f"{where} must be a JSON object")
-    missing = {f.name for f in fields(ChartCertificate)} - doc.keys()
-    if missing:
-        raise CertificateFormatError(f"{where} is missing keys: {sorted(missing)}")
+    json_object(doc, [f.name for f in fields(ChartCertificate)], CertificateFormatError, where)
     if not isinstance(doc["kind"], str):
         raise CertificateFormatError(f"{where}: kind must be a string")
     quotient = doc["quotient"]
@@ -507,13 +491,8 @@ def certificate_from_dict(doc) -> CoverCertificate:
     parses fine and is the verifier's job to flag; shape problems raise
     CertificateFormatError.
     """
-    if not isinstance(doc, dict):
-        raise CertificateFormatError("certificate document must be a JSON object")
-    missing = {f.name for f in fields(CoverCertificate)} - doc.keys()
-    if missing:
-        raise CertificateFormatError(
-            f"certificate document is missing keys: {sorted(missing)}"
-        )
+    keys = [f.name for f in fields(CoverCertificate)]
+    json_object(doc, keys, CertificateFormatError, "certificate document")
     if not isinstance(doc["fan_digest"], str):
         raise CertificateFormatError("fan_digest must be a string")
     if not isinstance(doc["digest_algorithm"], str):

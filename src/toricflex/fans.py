@@ -38,7 +38,7 @@ from .intlinalg import (
     primitivize,
     rank,
 )
-from .jsonfmt import load_json, pretty_json
+from .jsonfmt import json_object, load_json, pretty_json
 
 
 @dataclass(frozen=True)
@@ -115,14 +115,6 @@ def make_fan(ambient_rank, rays, max_cones) -> Fan:
         canon_cones.append(mapped)
     canon_cones.sort()
     return Fan(ambient_rank=ambient_rank, rays=canon_rays, max_cones=tuple(canon_cones))
-
-
-def cone_dim(f: Fan, cone) -> int:
-    """Dimension of the cone spanned by the indexed rays (0 for the zero cone)."""
-    c = check_ray_indices(cone, len(f.rays), BadIndexError)
-    if not c:
-        return 0
-    return rank(IntMatrix.from_rows([f.rays[i] for i in c]))
 
 
 def is_smooth_cone(f: Fan, cone) -> bool:
@@ -338,11 +330,12 @@ def iterated_star_subdivisions(f: Fan, rounds: int) -> tuple[Fan, ...]:
 
     Each round subdivides every distinct 2-face in every fan of the
     current frontier.  Returns the starting fan followed by each new fan
-    in first-discovery order, which is deterministic.
+    in first-discovery order, which is deterministic.  Fans are stored
+    canonically, so equal fans compare and hash equal.
     """
     _need_positive("rounds", rounds)
-    seen: dict[bytes, Fan] = {canonical_fan_bytes(f): f}
-    frontier = list(seen.values())
+    seen: dict[Fan, None] = {f: None}
+    frontier = [f]
     for _ in range(rounds):
         fresh: list[Fan] = []
         for fan in frontier:
@@ -351,12 +344,11 @@ def iterated_star_subdivisions(f: Fan, rounds: int) -> tuple[Fan, ...]:
             )
             for face in faces:
                 child = star_subdivision(fan, face)
-                key = canonical_fan_bytes(child)
-                if key not in seen:
-                    seen[key] = child
+                if child not in seen:
+                    seen[child] = None
                     fresh.append(child)
         frontier = fresh
-    return tuple(seen.values())
+    return tuple(seen)
 
 
 def _need_positive(name: str, value) -> int:
@@ -424,11 +416,7 @@ def fan_from_dict(doc) -> Fan:
     problems (bad rank, non-primitive ray, dependent cone) surface as
     InvalidFanError from make_fan.
     """
-    if not isinstance(doc, dict):
-        raise FanFormatError("fan document must be a JSON object")
-    missing = {"rank", "rays", "max_cones"} - doc.keys()
-    if missing:
-        raise FanFormatError(f"fan document is missing keys: {sorted(missing)}")
+    json_object(doc, ("rank", "rays", "max_cones"), FanFormatError, "fan document")
     ambient = doc["rank"]
     if not is_int(ambient):
         raise FanFormatError("rank must be an integer")
@@ -484,13 +472,8 @@ def report_to_dict(r: FanReport) -> dict:
 
 
 def report_from_dict(doc) -> FanReport:
-    if not isinstance(doc, dict):
-        raise FanFormatError("fan report must be a JSON object")
-    flags = ("valid", "smooth", "simplicial", "nondegenerate", "complete")
-    missing = {f.name for f in fields(FanReport)} - doc.keys()
-    if missing:
-        raise FanFormatError(f"fan report is missing keys: {sorted(missing)}")
-    for key in flags:
+    json_object(doc, [f.name for f in fields(FanReport)], FanFormatError, "fan report")
+    for key in ("valid", "smooth", "simplicial", "nondegenerate", "complete"):
         if not isinstance(doc[key], bool):
             raise FanFormatError(f"report field {key} must be a boolean")
     tfr = doc["torus_factor_rank"]

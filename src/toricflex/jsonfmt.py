@@ -11,7 +11,8 @@ itself uses for them, so escaping is unchanged; floats and subclasses of
 int or str go through json.dumps.  An int too long to print
 raises the same ValueError as the stdlib.  Dict keys must be strings.
 The tests check the writer against json.dumps.  load_json is the one
-reader of fan and certificate text.
+reader of fan and certificate text, and json_object the one check that a
+parsed document is an object holding the keys its reader needs.
 """
 
 from __future__ import annotations
@@ -34,6 +35,19 @@ def load_json(text: str, error: type[Exception], noun: str):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise error(f"{noun} is not valid JSON: {exc}") from exc
+
+
+def json_object(doc, keys, error: type[Exception], noun: str) -> dict:
+    """doc, once it is a dict holding every key; otherwise raise error.
+
+    The message starts with noun and, for a dict, lists the missing keys sorted.
+    """
+    if not isinstance(doc, dict):
+        raise error(f"{noun} must be a JSON object")
+    missing = set(keys) - doc.keys()
+    if missing:
+        raise error(f"{noun} is missing keys: {sorted(missing)}")
+    return doc
 
 
 def pretty_json(doc) -> str:

@@ -108,6 +108,18 @@ class TestCoverAndVerify:
         out = capsys.readouterr()
         assert "certificate verified" in out.err
 
+    def test_cover_verbose_note(self, tmp_path, capsys):
+        # One quadrant and an opposite half-line: one chart of each kind.
+        fan = make_fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (2,)])
+        fan_path = write(tmp_path, "mixed.json", fan_to_json(fan))
+        assert main(["cover", "--input", fan_path, "--output", str(tmp_path / "c.json")]) == 0
+        assert capsys.readouterr().err == ""
+        argv = ["cover", "--input", fan_path, "--output", str(tmp_path / "c.json"), "--verbose"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "toricflex: built 2 charts (AffineSpace, FlexibleComplement); a_covered = False\n"
+        )
+
     def test_cover_is_byte_deterministic(self, tmp_path):
         fan_path = write(tmp_path, "p2.json", P2_JSON)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -228,6 +240,15 @@ class TestSubdivide:
         fan = fan_from_json(capsys.readouterr().out)
         assert fan.rays == ((-1, -1), (0, 1), (1, 0), (1, 1))
         assert fan.max_cones == ((0, 1), (0, 2), (1, 3), (2, 3))
+
+    def test_verbose_note(self, tmp_path, capsys):
+        # The star subdivision of P^2 at the cone on (0, 1) and (1, 0).
+        path = write(tmp_path, "p2.json", P2_JSON)
+        argv = ["subdivide", "--input", path, "--cone", "1,2", "--output", str(tmp_path / "b.json")]
+        assert main(argv + ["--verbose"]) == 0
+        assert capsys.readouterr() == (
+            "", "toricflex: added ray (1, 1); fan now has 4 maximal cones\n"
+        )
 
     def test_one_dimensional_cone_is_usage_error(self, tmp_path, capsys):
         path = write(tmp_path, "p2.json", P2_JSON)

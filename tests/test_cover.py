@@ -464,6 +464,61 @@ class TestVerifyMutations:
         assert not passed
         assert any("complement must be empty" in s for s in findings)
 
+    def test_affine_chart_with_added_rays(self):
+        def change(doc):
+            doc["charts"][0]["added_ray_indices"] = [2]
+
+        passed, findings = mutated(fan_projective_space(2), change)
+        assert not passed
+        assert findings == (
+            "chart for maximal cone 0: an affine space chart has no added rays, "
+            "certificate lists [2]",
+        )
+
+    def test_affine_chart_with_nontrivial_quotient(self):
+        def change(doc):
+            doc["charts"][0]["quotient"] = {"invariant_factors": [2], "order": 2}
+
+        passed, findings = mutated(fan_projective_space(2), change)
+        assert not passed
+        assert findings == (
+            "chart for maximal cone 0: quotient must be trivial, certificate has "
+            "factors [2] and order 2",
+        )
+
+    def test_repeated_added_rays(self):
+        # Punctured 3-space: chart 0 extends the ray 0 by the rays 1 and 2.
+        def change(doc):
+            doc["charts"][0]["added_ray_indices"] = [1, 1]
+
+        passed, findings = mutated(fan_punctured_affine(3), change)
+        assert not passed
+        assert findings == ("chart for maximal cone 0: added ray indices [1, 1] repeat",)
+
+    def test_dependent_extended_cone(self):
+        # In the mixed fan ray 0 is (-1, 0) and the half-line is maximal
+        # cone 0; adding ray 2, (1, 0), gives a line, not a pointed cone.
+        def change(doc):
+            doc["charts"][0]["added_ray_indices"] = [2]
+            doc["charts"][0]["cprime_ray_indices"] = [0, 2]
+
+        passed, findings = mutated(mixed_fan(), change)
+        assert not passed
+        assert findings == (
+            "chart for maximal cone 0: extended cone generators are rationally dependent",
+        )
+
+    def test_complement_face_listed_twice(self):
+        def change(doc):
+            faces = doc["charts"][0]["complement_faces"]
+            faces.append(faces[0])
+
+        passed, findings = mutated(fan_punctured_affine(3), change)
+        assert not passed
+        assert findings == (
+            "chart for maximal cone 0: face (0, 1) listed more than once in the complement",
+        )
+
     def test_reordered_complement_still_verifies(self):
         for fan in (fan_punctured_affine(4), skew_fan(), mixed_fan()):
 
@@ -773,6 +828,45 @@ class TestCertificateSerialization:
         with pytest.raises(CertificateFormatError) as exc:
             certificate_from_dict(doc)
         assert str(exc.value) == f"{prefix[part]} is missing keys: ['{key}']"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda doc: doc.update(digest_algorithm=256),
+                "digest_algorithm must be a string",
+            ),
+            (
+                lambda doc: doc.update(report=[]),
+                "report: fan report must be a JSON object",
+            ),
+            (
+                lambda doc: doc["report"].update(torus_factor_rank=-1),
+                "report: torus_factor_rank must be a nonnegative integer",
+            ),
+            (
+                lambda doc: doc["report"].update(diagnostics=["ok", 3]),
+                "report: diagnostics must be a list of strings",
+            ),
+            (lambda doc: doc["charts"].__setitem__(0, []), "chart 0 must be a JSON object"),
+            (
+                lambda doc: doc.clear(),
+                "certificate document is missing keys: ['a_covered', 'charts', "
+                "'citations', 'digest_algorithm', 'fan_digest', 'format_version', 'report']",
+            ),
+        ],
+    )
+    def test_shape_error_messages(self, edit, message):
+        doc = certificate_to_dict(build_cover(skew_fan()))
+        edit(doc)
+        with pytest.raises(CertificateFormatError) as exc:
+            certificate_from_dict(doc)
+        assert str(exc.value) == message
+
+    def test_non_object_document_message(self):
+        with pytest.raises(CertificateFormatError) as exc:
+            certificate_from_json("[]")
+        assert str(exc.value) == "certificate document must be a JSON object"
 
     def test_round_trip(self):
         for f in (fan_projective_space(2), fan_punctured_affine(3), skew_fan()):

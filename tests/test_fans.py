@@ -19,7 +19,6 @@ from toricflex.errors import (
 )
 from toricflex.fans import (
     canonical_fan_bytes,
-    cone_dim,
     fan_affine_space,
     fan_diagnostics,
     fan_digest,
@@ -409,12 +408,6 @@ class TestValidateFan:
 
 
 class TestPredicates:
-    def test_cone_dim(self):
-        f = fan_projective_space(2)
-        assert cone_dim(f, (0, 1)) == 2
-        assert cone_dim(f, (0,)) == 1
-        assert cone_dim(f, ()) == 0
-
     def test_is_smooth_cone_examples(self):
         quad = make_fan(2, [(1, 0), (0, 1)], [(0, 1)])
         assert is_smooth_cone(quad, (0, 1))
@@ -590,6 +583,18 @@ class TestSerialization:
             fan_from_dict({"rank": 2, "rays": [[1, "0"]], "max_cones": []})
         with pytest.raises(FanFormatError):
             fan_from_dict({"rank": 2, "rays": [[1, 0]], "max_cones": [0]})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2], "fan document must be a JSON object"),
+            ({"rank": 2}, "fan document is missing keys: ['max_cones', 'rays']"),
+        ],
+    )
+    def test_object_messages(self, doc, message):
+        with pytest.raises(FanFormatError) as exc:
+            fan_from_dict(doc)
+        assert str(exc.value) == message
 
     def test_semantic_errors_come_from_construction(self):
         with pytest.raises(InvalidFanError):

@@ -5,6 +5,8 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import toricflex
 
 # Deleted from the library, or (kernel_basis) moved into the tests.
@@ -13,6 +15,7 @@ REMOVED = (
     "_span_frame",
     "adjugate",
     "build_chart",
+    "cone_dim",
     "face_lattice",
     "facet_normals",
     "is_nondegenerate",
@@ -86,3 +89,15 @@ def test_no_unused_imports():
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert sorted(imported_names(tree) - used_names(tree)) == [], path.name
+
+
+# Text that one helper writes for the whole package: jsonfmt.json_object for
+# the object-and-keys check, cli._note for the stderr prefix.
+WRITTEN_ONCE = ("must be a JSON object", "is missing keys", "toricflex: ")
+
+
+@pytest.mark.parametrize("literal", WRITTEN_ONCE)
+def test_message_written_in_one_place(literal):
+    paths = sorted(Path(toricflex.__file__).parent.glob("*.py"))
+    counts = {path.name: path.read_text(encoding="utf-8").count(literal) for path in paths}
+    assert sum(counts.values()) == 1, {name: n for name, n in counts.items() if n}
