@@ -5,6 +5,10 @@ usage error, 3 hypothesis failure (degenerate or non-smooth input where
 the cover construction needs both), 4 certificate verification failure.
 Machine-readable payloads go to stdout (or --output); everything else
 goes to stderr.  The path "-" means the standard stream.
+
+COMMANDS is the one list of commands and of the options each takes;
+OPTIONS holds each option's argparse keywords, and build_parser is one
+loop over the two.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import (
     NotSmoothError,
 )
 from .fans import (
+    HYPOTHESIS_PREFIX,
     Fan,
     FanReport,
     fan_affine_space,
@@ -211,16 +216,37 @@ def _cmd_subdivide(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_verbose(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--verbose", action="store_true", help="extra progress notes on stderr")
+# Every option a command can take, with its add_argument keywords.
+OPTIONS = {
+    "--input": dict(default="-", help="fan file, or - for stdin (default)"),
+    "--output": dict(default="-", help="destination file, or - for stdout (default)"),
+    "--verbose": dict(action="store_true", help="extra progress notes on stderr"),
+    "--cert": dict(required=True, help="certificate file, or - for stdin"),
+    "--cone": dict(required=True, help="comma-separated ray indices, e.g. 0,2"),
+    "--name": dict(required=True, choices=list(EXAMPLES)),
+    "--param": dict(
+        action="append",
+        type=int,
+        help="integer parameter; repeat for product (two projective factors)",
+    ),
+}
 
-
-def _add_input(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", default="-", help="fan file, or - for stdin (default)")
-
-
-def _add_output(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--output", default="-", help="destination file, or - for stdout (default)")
+# The one list of commands: help line, handler and options, in help order.
+# validate and analyze take --verbose too, and ignore it.
+COMMANDS = {
+    "validate": ("check the fan axioms; exit 0 iff valid", _cmd_validate,
+                 ("--input", "--verbose")),
+    "analyze": ("write the full fan report as JSON", _cmd_analyze,
+                ("--input", "--output", "--verbose")),
+    "cover": ("build a flexibility cover certificate", _cmd_cover,
+              ("--input", "--output", "--verbose")),
+    "verify": ("independently check a cover certificate", _cmd_verify,
+               ("--input", "--cert", "--verbose")),
+    "example": ("write a named example fan", _cmd_example,
+                ("--name", "--param", "--output", "--verbose")),
+    "subdivide": ("star subdivision at a cone of the fan", _cmd_subdivide,
+                  ("--input", "--cone", "--output", "--verbose")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,53 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fan toolkit: validation, star subdivisions, and flexibility cover certificates.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("validate", help="check the fan axioms; exit 0 iff valid")
-    _add_input(sub)
-    _add_verbose(sub)
-    sub.set_defaults(handler=_cmd_validate)
-
-    sub = commands.add_parser("analyze", help="write the full fan report as JSON")
-    _add_input(sub)
-    _add_output(sub)
-    _add_verbose(sub)
-    sub.set_defaults(handler=_cmd_analyze)
-
-    sub = commands.add_parser("cover", help="build a flexibility cover certificate")
-    _add_input(sub)
-    _add_output(sub)
-    _add_verbose(sub)
-    sub.set_defaults(handler=_cmd_cover)
-
-    sub = commands.add_parser("verify", help="independently check a cover certificate")
-    _add_input(sub)
-    sub.add_argument("--cert", required=True, help="certificate file, or - for stdin")
-    _add_verbose(sub)
-    sub.set_defaults(handler=_cmd_verify)
-
-    sub = commands.add_parser("example", help="write a named example fan")
-    sub.add_argument(
-        "--name",
-        required=True,
-        choices=list(EXAMPLES),
-    )
-    sub.add_argument(
-        "--param",
-        action="append",
-        type=int,
-        help="integer parameter; repeat for product (two projective factors)",
-    )
-    _add_output(sub)
-    _add_verbose(sub)
-    sub.set_defaults(handler=_cmd_example)
-
-    sub = commands.add_parser("subdivide", help="star subdivision at a cone of the fan")
-    _add_input(sub)
-    sub.add_argument("--cone", required=True, help="comma-separated ray indices, e.g. 0,2")
-    _add_output(sub)
-    _add_verbose(sub)
-    sub.set_defaults(handler=_cmd_subdivide)
-
+    for name, (help_line, handler, options) in COMMANDS.items():
+        sub = commands.add_parser(name, help=help_line)
+        for option in options:
+            sub.add_argument(option, **OPTIONS[option])
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -290,7 +274,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except tuple(EXIT_CODES) as exc:
         code = next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
-        message = f"hypothesis failure: {exc}" if code == EXIT_HYPOTHESIS else str(exc)
+        message = f"{HYPOTHESIS_PREFIX}{exc}" if code == EXIT_HYPOTHESIS else str(exc)
         return _fail(code, message)
 
 

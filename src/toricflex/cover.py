@@ -21,6 +21,7 @@ from itertools import combinations
 from .conegeom import Cone, QuotientGroup, quotient_group
 from .errors import CertificateFormatError, FanFormatError
 from .fans import (
+    HYPOTHESIS_PREFIX,
     Fan,
     FanReport,
     _hypothesis_failures,
@@ -360,8 +361,7 @@ def verify_certificate(f: Fan, cert: CoverCertificate) -> VerificationReport:
                     f"recomputation gives {recomputed[key]!r}"
                 )
     findings.extend(
-        f"hypothesis failure: {failure}"
-        for failure in _hypothesis_failures(f, actual_report)
+        f"{HYPOTHESIS_PREFIX}{failure}" for failure in _hypothesis_failures(f, actual_report)
     )
 
     counts: Counter[object] = Counter(ch.cone_index for ch in cert.charts)

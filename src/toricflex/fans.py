@@ -97,7 +97,8 @@ def make_fan(ambient_rank, rays, max_cones) -> Fan:
             raise InvalidFanError(f"ray {pos} {vec} is not primitive")
         ray_list.append(vec)
     if len(set(ray_list)) != len(ray_list):
-        dup = next(v for v in ray_list if ray_list.count(v) > 1)
+        # A Counter keeps first-occurrence order: this is the first repeat in input order.
+        dup = next(v for v, count in Counter(ray_list).items() if count > 1)
         raise InvalidFanError(f"ray {dup} appears more than once")
 
     order = sorted(range(len(ray_list)), key=lambda i: ray_list[i])
@@ -120,8 +121,6 @@ def make_fan(ambient_rank, rays, max_cones) -> Fan:
 def is_smooth_cone(f: Fan, cone) -> bool:
     """Whether the indexed rays extend to a basis of the ambient lattice."""
     c = check_ray_indices(cone, len(f.rays), BadIndexError)
-    if not c:
-        return True
     return extends_to_z_basis([f.rays[i] for i in c], f.ambient_rank)
 
 
@@ -271,6 +270,10 @@ def validate_fan(f: Fan) -> FanReport:
     )
 
 
+# Put before each failure by verify_certificate and before an exit-3 error by the CLI.
+HYPOTHESIS_PREFIX = "hypothesis failure: "
+
+
 def _not_smooth(cone: Cone) -> NotSmoothError:
     return NotSmoothError(f"maximal cone {cone} is not smooth")
 
@@ -357,20 +360,24 @@ def _need_positive(name: str, value) -> int:
     return value
 
 
+def _standard_basis(n: int) -> list[Vector]:
+    """The standard basis of Z^n, once n is known to be a positive integer."""
+    _need_positive("n", n)
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
 def fan_affine_space(n: int) -> Fan:
     """Fan of affine n-space: one maximal cone on the standard basis."""
-    _need_positive("n", n)
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return make_fan(n, rays, [tuple(range(n))])
+    return make_fan(n, _standard_basis(n), [tuple(range(n))])
 
 
 def fan_projective_space(n: int) -> Fan:
     """Fan of projective n-space."""
-    _need_positive("n", n)
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays = _standard_basis(n)
     rays.append(tuple(-1 for _ in range(n)))
     cones = list(combinations(range(n + 1), n))
     return make_fan(n, rays, cones)
+
 
 def fan_hirzebruch(a: int) -> Fan:
     """Fan of the degree-a ruled surface over the projective line."""
@@ -396,9 +403,7 @@ def fan_product(f: Fan, g: Fan) -> Fan:
 
 def fan_punctured_affine(n: int) -> Fan:
     """Fan of affine n-space minus the origin: the rays of the octant only."""
-    _need_positive("n", n)
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return make_fan(n, rays, [(i,) for i in range(n)])
+    return make_fan(n, _standard_basis(n), [(i,) for i in range(n)])
 
 
 def fan_to_dict(f: Fan) -> dict:

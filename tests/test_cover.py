@@ -47,6 +47,8 @@ from toricflex.fans import (
     torus_factor_rank,
 )
 
+from oracles import change_basis, unimodular_bases
+
 
 def skew_fan():
     # Two separate rays whose joint lattice has index 2.
@@ -585,17 +587,9 @@ def lower_dimensional_fans(draw):
     for c in draw(st.lists(st.sampled_from(base.max_cones), max_size=3, unique=True)):
         if not any(set(face) <= set(c) for face in cones):
             cones.append(c)
-    basis = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(draw(st.integers(0, 4))):
-        i, j = draw(st.permutations(range(n)))[:2]
-        scale = draw(st.sampled_from((-2, -1, 1, 2)))
-        for row in basis:
-            row[j] += scale * row[i]
+    basis = draw(unimodular_bases(n))
     used = sorted({i for c in cones for i in c})
-    rays = [
-        tuple(sum(base.rays[i][a] * basis[a][b] for a in range(n)) for b in range(n))
-        for i in used
-    ]
+    rays = change_basis([base.rays[i] for i in used], basis)
     remap = {old: new for new, old in enumerate(used)}
     fan = make_fan(n, rays, [tuple(remap[i] for i in c) for c in cones])
     assume(torus_factor_rank(fan) == 0)

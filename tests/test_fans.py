@@ -240,6 +240,12 @@ class TestMakeFan:
         with pytest.raises(InvalidFanError):
             make_fan(2, [(1, 0.0)], [(0,)])
 
+    def test_duplicate_ray_message_names_the_first_repeat_in_input_order(self):
+        # In [a, b, b, a] the first adjacent repeat is b, but a comes first.
+        a, b = (1, 0), (0, 1)
+        with pytest.raises(InvalidFanError, match=r"^ray \(1, 0\) appears more than once$"):
+            make_fan(2, [a, b, b, a], [(0,)])
+
     def test_rejects_bad_cone_indices(self):
         with pytest.raises(InvalidFanError):
             make_fan(2, [(1, 0)], [(1,)])

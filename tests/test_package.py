@@ -12,6 +12,9 @@ import toricflex
 # Deleted from the library, or (kernel_basis) moved into the tests.
 REMOVED = (
     "FaceLattice",
+    "_add_input",
+    "_add_output",
+    "_add_verbose",
     "_span_frame",
     "adjugate",
     "build_chart",
@@ -91,9 +94,10 @@ def test_no_unused_imports():
         assert sorted(imported_names(tree) - used_names(tree)) == [], path.name
 
 
-# Text that one helper writes for the whole package: jsonfmt.json_object for
-# the object-and-keys check, cli._note for the stderr prefix.
-WRITTEN_ONCE = ("must be a JSON object", "is missing keys", "toricflex: ")
+# Text written once for the whole package: by jsonfmt.json_object for the
+# object-and-keys check, by cli._note for the stderr prefix, and as
+# fans.HYPOTHESIS_PREFIX for the cover hypotheses.
+WRITTEN_ONCE = ("must be a JSON object", "is missing keys", "toricflex: ", "hypothesis failure: ")
 
 
 @pytest.mark.parametrize("literal", WRITTEN_ONCE)
