@@ -232,12 +232,9 @@ OPTIONS = {
 }
 
 # The one list of commands: help line, handler and options, in help order.
-# validate and analyze take --verbose too, and ignore it.
 COMMANDS = {
-    "validate": ("check the fan axioms; exit 0 iff valid", _cmd_validate,
-                 ("--input", "--verbose")),
-    "analyze": ("write the full fan report as JSON", _cmd_analyze,
-                ("--input", "--output", "--verbose")),
+    "validate": ("check the fan axioms; exit 0 iff valid", _cmd_validate, ("--input",)),
+    "analyze": ("write the full fan report as JSON", _cmd_analyze, ("--input", "--output")),
     "cover": ("build a flexibility cover certificate", _cmd_cover,
               ("--input", "--output", "--verbose")),
     "verify": ("independently check a cover certificate", _cmd_verify,

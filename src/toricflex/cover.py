@@ -8,7 +8,9 @@ of the faces with at least two rays that use an added ray (a single added
 ray is kept).  The certificate stores everything an independent checker
 needs: the extension, its quotient group, and every removed face with its
 codimension.  verify_certificate recomputes all of it from the fan alone,
-never trusting how the certificate was produced.
+never trusting how the certificate was produced.  certificate_to_json
+writes one line of compact, key-sorted JSON; the reader takes any JSON
+text of the same document, indented or not.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from itertools import combinations
+from itertools import chain, combinations
 
 from .conegeom import Cone, QuotientGroup, quotient_group
 from .errors import CertificateFormatError, FanFormatError
@@ -32,7 +34,7 @@ from .fans import (
     validate_fan,
 )
 from .intlinalg import IntMatrix, is_int, rank
-from .jsonfmt import face_pairs, json_object, load_json, pretty_json
+from .jsonfmt import compact_json, json_object, load_json
 
 KIND_AFFINE_SPACE = "AffineSpace"
 KIND_FLEXIBLE_COMPLEMENT = "FlexibleComplement"
@@ -461,9 +463,23 @@ def _chart_from_dict(doc, position: int) -> ChartCertificate:
     )
 
 
+def face_pairs(o: list) -> bool:
+    """Whether each entry of a list of lists is a complement-face pair:
+    a two-item list of a nonempty list of plain ints, then a plain int."""
+    if set(map(len, o)) != {2}:
+        return False
+    faces = [entry[0] for entry in o]
+    return (
+        set(map(type, faces)) == {list}
+        and all(faces)
+        and set(map(type, [entry[1] for entry in o])) == {int}
+        and set(map(type, chain.from_iterable(faces))) <= {int}
+    )
+
+
 def _complement_from_list(faces: list, where: str) -> tuple[tuple[Cone, int], ...]:
-    # The usual document, the shape the writer renders as face pairs, is
-    # accepted by one scan by type.  Any other document takes the per-entry
+    # The usual document, a list of face pairs as build_cover makes them,
+    # is accepted by one scan by type.  Any other document takes the per-entry
     # check, which decides acceptance (bools are refused; an empty face and
     # int or list subclasses are accepted) and the message.
     if set(map(type, faces)) == {list} and face_pairs(faces):
@@ -521,9 +537,10 @@ def certificate_from_dict(doc) -> CoverCertificate:
 
 
 def certificate_to_json(cert: CoverCertificate) -> str:
-    """Serialize a certificate; CertificateFormatError if a number is too long."""
+    """One line of compact, key-sorted JSON; CertificateFormatError if a
+    number is too long to write."""
     try:
-        return pretty_json(certificate_to_dict(cert))
+        return compact_json(certificate_to_dict(cert)) + "\n"
     except ValueError as exc:
         raise CertificateFormatError(f"certificate cannot be written as JSON: {exc}") from exc
 

@@ -9,7 +9,6 @@ identical bytes, and share one digest.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from collections import Counter
 from collections.abc import Iterator
@@ -38,7 +37,7 @@ from .intlinalg import (
     primitivize,
     rank,
 )
-from .jsonfmt import json_object, load_json, pretty_json
+from .jsonfmt import compact_json, json_object, load_json, pretty_json
 
 
 @dataclass(frozen=True)
@@ -444,9 +443,7 @@ def fan_to_json(f: Fan, pretty: bool = True) -> str:
     """Serialize a fan; FanFormatError if an entry is too long to write."""
     doc = fan_to_dict(f)
     try:
-        if pretty:
-            return pretty_json(doc)
-        return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+        return pretty_json(doc) if pretty else compact_json(doc)
     except ValueError as exc:
         raise FanFormatError(f"fan cannot be written as JSON: {exc}") from exc
 

@@ -120,6 +120,16 @@ class TestCoverAndVerify:
             "toricflex: built 2 charts (AffineSpace, FlexibleComplement); a_covered = False\n"
         )
 
+    def test_indented_certificate_still_verifies(self, tmp_path, capsys):
+        fan_path = write(tmp_path, "p2.json", P2_JSON)
+        cert_path = tmp_path / "cert.json"
+        assert main(["cover", "--input", fan_path, "--output", str(cert_path)]) == 0
+        text = cert_path.read_text(encoding="utf-8")
+        assert text.count("\n") == 1
+        cert_path.write_text(json.dumps(json.loads(text), indent=2), encoding="utf-8")
+        assert main(["verify", "--input", fan_path, "--cert", str(cert_path)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_cover_is_byte_deterministic(self, tmp_path):
         fan_path = write(tmp_path, "p2.json", P2_JSON)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -283,6 +293,19 @@ class TestParser:
     def test_unknown_flag(self, capsys):
         assert main(["validate", "--frobnicate"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_verbose_is_refused_where_it_did_nothing(self, tmp_path, capsys, command):
+        path = write(tmp_path, "p2.json", P2_JSON)
+        out = tmp_path / "out.json"
+        argv = [command, "--input", path, "--verbose"]
+        if command == "analyze":
+            argv += ["--output", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --verbose" in captured.err
+        assert not out.exists()
 
 
 # Inputs that once escaped the exit-code contract as tracebacks with exit 1.

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import json
 import random
 import sys
 from itertools import combinations
@@ -46,6 +47,7 @@ from toricflex.fans import (
     star_subdivision,
     torus_factor_rank,
 )
+from toricflex.jsonfmt import compact_json
 
 from oracles import change_basis, unimodular_bases
 
@@ -710,9 +712,10 @@ def complement_lists(draw):
     return faces
 
 
-# sha256 of the pretty certificate of each fan, computed with the stdlib
-# encoder before the certificate writer was replaced.  A deliberate format
-# change updates them.
+# sha256 of the indented certificate of each fan, computed with the stdlib
+# encoder before the certificate writer was replaced.  Certificates are now
+# written compact and hashed after re-indenting, so the digests show that the
+# document is unchanged.  A deliberate format change updates them.
 GOLDEN_DIGESTS = [
     pytest.param(
         lambda: fan_projective_space(2),
@@ -784,7 +787,10 @@ class TestCertificateSerialization:
     @pytest.mark.parametrize("fan, digest", GOLDEN_DIGESTS)
     def test_golden_digests(self, fan, digest):
         text = certificate_to_json(build_cover(fan()))
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        doc = json.loads(text)
+        assert text == compact_json(doc) + "\n"
+        indented = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(indented.encode("utf-8")).hexdigest() == digest
 
     @settings(deadline=None, max_examples=300)
     @given(complement_lists())
@@ -843,6 +849,11 @@ class TestCertificateSerialization:
                 "report: diagnostics must be a list of strings",
             ),
             (lambda doc: doc["charts"].__setitem__(0, []), "chart 0 must be a JSON object"),
+            (
+                lambda doc: doc["charts"][0].update(complement_faces={}),
+                "chart 0: complement_faces must be a list",
+            ),
+            (lambda doc: doc.update(fan_digest=None), "fan_digest must be a string"),
             (
                 lambda doc: doc.clear(),
                 "certificate document is missing keys: ['a_covered', 'charts', "

@@ -1,4 +1,10 @@
-"""The pretty JSON writer against its oracle, the stdlib's indented encoder."""
+"""The two encoders against their oracle, the stdlib's key-sorted json.dumps.
+
+A certificate is written compact and pinned by the digest of its indented
+re-rendering, so the tests check that re-indenting the compact text of a
+document gives exactly the indented text of that document, or that both
+encoders raise the stdlib's ValueError.
+"""
 
 import json
 
@@ -23,23 +29,31 @@ from toricflex.fans import (
     report_to_dict,
     validate_fan,
 )
-from toricflex.jsonfmt import pretty_json
+from toricflex.jsonfmt import compact_json, pretty_json
 
 
 def stdlib_pretty(doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def stdlib_compact(doc):
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+
 def same_outcome(doc):
-    """Both writers give the same text, or both raise the same ValueError."""
+    """Both encoders give the stdlib's text, and re-indenting the compact
+    text gives the indented one; or both raise the stdlib's ValueError."""
     try:
         expected = stdlib_pretty(doc)
     except ValueError as exc:
-        with pytest.raises(ValueError) as ours:
-            pretty_json(doc)
-        assert str(ours.value) == str(exc)
+        for encode in (pretty_json, compact_json):
+            with pytest.raises(ValueError) as ours:
+                encode(doc)
+            assert str(ours.value) == str(exc)
     else:
         assert pretty_json(doc) == expected
+        assert compact_json(doc) == stdlib_compact(doc)
+        assert pretty_json(json.loads(compact_json(doc))) == expected
 
 
 # Near the interpreter's 4300-digit limit for printing an int, on both sides.
@@ -51,8 +65,8 @@ TEXT = st.text() | st.sampled_from(
     ["", "é", "☃ snow", 'quote " and \\ back', "tab\tnl\n", "\ud800"]
 )
 SCALARS = st.none() | st.booleans() | INTS | st.floats() | TEXT
-# [ray index list, codim] pairs, the shape the writer renders by template,
-# and near misses of it: empty faces, bools and long ints inside.
+# [ray index list, codim] pairs, the shape of complement faces, and near
+# misses of it: empty faces, bools and long ints inside.
 FACE_PAIRS = st.lists(
     st.tuples(st.lists(INTS | st.booleans(), max_size=4), INTS | st.booleans()).map(list)
 )
@@ -126,7 +140,8 @@ class TestPrettyJson:
             report = validate_fan(f)
             assert pretty_json(report_to_dict(report)) == stdlib_pretty(report_to_dict(report))
             assert fan_to_json(f) == stdlib_pretty(fan_to_dict(f))
+            assert fan_to_json(f, pretty=False) == stdlib_compact(fan_to_dict(f))
             if report.valid:
                 cert = build_cover(f)
-                assert certificate_to_json(cert) == stdlib_pretty(certificate_to_dict(cert))
+                assert certificate_to_json(cert) == stdlib_compact(certificate_to_dict(cert)) + "\n"
         assert pretty_json(list(CITATIONS)) == stdlib_pretty(list(CITATIONS))

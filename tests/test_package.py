@@ -12,9 +12,11 @@ import toricflex
 # Deleted from the library, or (kernel_basis) moved into the tests.
 REMOVED = (
     "FaceLattice",
+    "_INDENT",
     "_add_input",
     "_add_output",
     "_add_verbose",
+    "_pretty",
     "_span_frame",
     "adjugate",
     "build_chart",
@@ -92,6 +94,27 @@ def test_no_unused_imports():
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert sorted(imported_names(tree) - used_names(tree)) == [], path.name
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The absolute module names the module imports."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    return modules
+
+
+def test_only_jsonfmt_imports_json():
+    # Each JSON encoding, and the reader, is decided in one module.
+    importers = []
+    for path in sorted(Path(toricflex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if "json" in {module.split(".")[0] for module in imported_modules(tree)}:
+            importers.append(path.name)
+    assert importers == ["jsonfmt.py"]
 
 
 # Text written once for the whole package: by jsonfmt.json_object for the
