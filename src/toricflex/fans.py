@@ -14,6 +14,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from itertools import combinations
+from operator import mul
 
 from .conegeom import Cone, check_ray_indices, cone_contains
 from .errors import (
@@ -31,6 +32,7 @@ from .errors import (
 from .intlinalg import (
     IntMatrix,
     Vector,
+    _scaled_dual_basis,
     extends_to_z_basis,
     is_int,
     positive_circuit,
@@ -213,6 +215,35 @@ def _pair_finding(f: Fan, ia: int, ib: int) -> str | None:
     )
 
 
+def _covers_once(f: Fan) -> bool:
+    """The complete-fan test of fan_diagnostics; False sends the fan to the pair scan."""
+    n, cones = f.ambient_rank, f.max_cones
+    if not cones or {len(c) for c in cones} != {n} or len(set(cones)) < len(cones):
+        return False
+    across: dict[Cone, list[int]] = {}  # facet -> the rays opposite it
+    for c in cones:
+        for i in range(n):
+            across.setdefault(c[:i] + c[i + 1:], []).append(c[i])
+    if len({i for c in cones for i in c}) < len(f.rays) or {len(v) for v in across.values()} != {2}:
+        return False
+    duals = [_scaled_dual_basis([f.rays[i] for i in c]) for c in cones]
+    if None in duals:
+        return False
+    base, heights = [f.rays[i] for i in cones[0]], []  # heights: y_i . r_k, r_k in cone 0
+    for c, (d, ys) in zip(cones, duals):
+        for i, y in enumerate(ys):
+            across_i = sum(across[c[:i] + c[i + 1:]]) - c[i]  # the ray across facet i
+            if d * sum(map(mul, y, f.rays[across_i])) >= 0:
+                return False
+        heights.append([[sum(map(mul, y, r)) for r in base] for y in ys])
+    m = 2 + max(abs(h) for hs in heights for row in hs for h in row)
+    inside = sum(
+        all(d * sum(h * m**k for k, h in enumerate(row)) > 0 for row in hs)
+        for (d, _), hs in zip(duals, heights)
+    )
+    return inside == 1
+
+
 def fan_diagnostics(f: Fan) -> tuple[str, ...]:
     """Check the fan axioms and return every problem found, in this order.
 
@@ -220,7 +251,29 @@ def fan_diagnostics(f: Fan) -> tuple[str, ...]:
     maximal cones that are faces of others, and then the pairs of maximal
     cones whose intersection is not their shared face.  The fan is valid
     exactly when the tuple is empty.
+
+    A fan that passes _covers_once is valid and gets () with no pair check.
+    It is nonempty and pure, uses every ray and repeats no cone, so no cone
+    is a face of another.  Each facet (n-1 rays of a maximal cone) lies in
+    two maximal cones whose opposite rays lie strictly on opposite sides of
+    it, by the signs of d y_i . x, where r_j . y_i = d (i == j) for the rays
+    r_j of a cone (_scaled_dual_basis).  And p = sum_k M^k r_k over the rays
+    of cone 0 lies in exactly one maximal cone.  No y_i . p is 0, as M =
+    2 + max |y_i . r_k| exceeds the Cauchy root bound of the polynomial.
+    Proof: call a point on no facet hyperplane generic.  Paths of segments
+    between generic points can miss the codimension-2 spans of n-2 rays of
+    a cone and meets of two facet hyperplanes.  Where one crosses a
+    hyperplane H, each cone with the crossing on its boundary holds it
+    inside its one facet in H, whose other cone lies across H.  So every
+    generic point lies in one cone, as p does.  Let x lie in maximal cones
+    C and C'.  A path from inside C to inside C', nearer x than any cone
+    without x, passes through cones holding x, each sharing a facet G with
+    the next and lying across G's hyperplane from it, so x is in G.  The
+    smallest face holding x is thus one ray set in C and in C': C and C'
+    meet in their shared face, whatever the dimension of the meeting.
     """
+    if _covers_once(f):
+        return ()
     diags: list[str] = []
     if not f.max_cones:
         diags.append("fan has no maximal cones")

@@ -254,6 +254,35 @@ def rank(m: IntMatrix) -> int:
     return _bareiss(m)[0]
 
 
+def _scaled_dual_basis(rows) -> tuple[int, list[Vector]] | None:
+    """d = det(R) and the columns y_i of adj(R): r_j . y_i == d * (i == j).
+
+    Fraction-free Gauss-Jordan on [R | I], R with rows r_j, ending at
+    [+-d I | +-adj(R)]; step k updates only the columns later steps read.
+    None when R is singular.
+    """
+    n = len(rows)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign = prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return None
+        if p != k:
+            a[k], a[p], sign = a[p], a[k], -sign
+        pivot_row, pk = a[k], a[k][k]
+        for row in a:
+            if row is not pivot_row:
+                f = row[k]
+                for j in range(k + 1, 2 * n):
+                    q, rem = divmod(pk * row[j] - f * pivot_row[j], prev)
+                    if rem:
+                        raise AssertionError("fraction-free step lost exactness")
+                    row[j] = q
+        prev = pk
+    return sign * prev, [tuple(sign * row[n + i] for row in a) for i in range(n)]
+
+
 def positive_circuit(m: IntMatrix, weights) -> tuple[int, ...] | None:
     """Support of a vertex of {z >= 0 : m @ z == 0, weights . z == 1}, or None.
 

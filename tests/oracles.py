@@ -4,10 +4,15 @@ Nothing in the package calls these.  kernel_basis backs the differential
 oracles (the exhaustive circuit scans in test_fans.py and
 test_intlinalg.py), so it lives with the tests rather than in the library.
 unimodular_bases and change_basis move test fans off the coordinate axes.
+pair_scan_diagnostics is fan_diagnostics with its complete-fan fast path
+turned off, the oracle the fast path is held to.
 """
+
+from unittest import mock
 
 from hypothesis import strategies as st
 
+from toricflex import fans
 from toricflex.intlinalg import IntMatrix, Vector, snf
 
 
@@ -43,3 +48,9 @@ def change_basis(vectors, basis) -> list[Vector]:
     """Each vector v as the row vector v @ basis."""
     n = len(basis)
     return [tuple(sum(v[a] * basis[a][b] for a in range(n)) for b in range(n)) for v in vectors]
+
+
+def pair_scan_diagnostics(f: fans.Fan) -> tuple[str, ...]:
+    """fan_diagnostics by the pair scan alone, every fan taking the slow path."""
+    with mock.patch.object(fans, "_covers_once", return_value=False):
+        return fans.fan_diagnostics(f)

@@ -2,6 +2,7 @@
 
 import math
 import re
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -18,6 +19,7 @@ from toricflex.errors import (
     NotSmoothError,
 )
 from toricflex.fans import (
+    Fan,
     canonical_fan_bytes,
     fan_affine_space,
     fan_diagnostics,
@@ -42,11 +44,12 @@ from toricflex.fans import (
     torus_factor_rank,
     validate_fan,
 )
+from toricflex import fans
 from toricflex.fans import _pair_finding
 from toricflex.conegeom import cone_contains
 from toricflex.intlinalg import IntMatrix, positive_circuit, rank
 
-from oracles import kernel_basis
+from oracles import change_basis, kernel_basis, pair_scan_diagnostics, unimodular_bases
 
 P2_DIGEST = "41837965ad3f42ad087b653b59d3eed577ce290ed5a871c7c06f3a6658ed06ce"
 
@@ -194,6 +197,67 @@ def random_fans(draw):
             moved = draw(_primitive_vectors(n))
             assume(tuple(moved) not in rays)
             rays[draw(st.integers(0, len(rays) - 1))] = tuple(moved)
+    try:
+        return make_fan(n, rays, cones)
+    except NotSimplicialError:
+        assume(False)
+
+
+def power(f, k):
+    """The k-fold product fan f x ... x f."""
+    g = f
+    for _ in range(k - 1):
+        g = fan_product(g, f)
+    return g
+
+
+P1 = fan_projective_space(1)
+
+# Complete fans that the perturbations below start from.
+COMPLETE_BASES = [
+    P1,
+    fan_projective_space(2),
+    fan_projective_space(3),
+    fan_projective_space(4),
+    fan_hirzebruch(0),
+    fan_hirzebruch(3),
+    fan_product(P1, fan_projective_space(2)),
+    fan_product(P1, fan_projective_space(3)),
+    power(P1, 3),
+    *iterated_star_subdivisions(fan_projective_space(3), 1)[1:],
+    *iterated_star_subdivisions(fan_hirzebruch(3), 1)[1:],
+]
+
+
+@st.composite
+def perturbed_complete_fans(draw):
+    """A complete fan, moved off the axes, with one cone dropped, one
+    duplicated, one ray moved to a random place, or one cone added.
+
+    Most of them are invalid or not complete; a moved ray sometimes gives
+    another complete fan.
+    """
+    f = draw(st.sampled_from(COMPLETE_BASES))
+    n = f.ambient_rank
+    rays = change_basis(f.rays, draw(unimodular_bases(n))) if n > 1 else list(f.rays)
+    cones = list(f.max_cones)
+    kind = draw(st.sampled_from(("drop", "duplicate", "move", "add")))
+    if kind == "drop":
+        del cones[draw(st.integers(0, len(cones) - 1))]
+    elif kind == "duplicate":
+        cones.append(draw(st.sampled_from(cones)))
+    elif kind == "move":
+        moved = tuple(draw(_primitive_vectors(n)))
+        assume(moved not in rays)
+        rays[draw(st.integers(0, len(rays) - 1))] = moved
+    else:
+        added = draw(st.lists(st.integers(0, len(rays)), min_size=n, max_size=n, unique=True))
+        if len(rays) in added:  # the added cone brings a new ray
+            new = tuple(draw(_primitive_vectors(n)))
+            assume(new not in rays)
+            rays.append(new)
+        assume(tuple(sorted(added)) not in cones)
+        cones.append(added)
     try:
         return make_fan(n, rays, cones)
     except NotSimplicialError:
@@ -405,12 +469,160 @@ class TestValidateFan:
             fan_projective_space(6),
             fan_product(fan_projective_space(2), fan_projective_space(3)),
             fan_product(fan_projective_space(3), fan_projective_space(3)),
+            power(fan_projective_space(1), 6),
         ],
-        ids=["P6", "P2xP3", "P3xP3"],
+        ids=["P6", "P2xP3", "P3xP3", "(P1)^6"],
     )
     def test_high_rank_fans_validate(self, f):
         report = validate_fan(f)
         assert report.valid and report.complete, report.diagnostics
+
+
+def crossed_p5():
+    """P^5 plus a 2-cone whose relative interior crosses a maximal cone."""
+    p5 = fan_projective_space(5)
+    rays = list(p5.rays) + [(2, 1, -1, 0, 0), (-1, 1, 2, 0, 0)]
+    return make_fan(5, rays, list(p5.max_cones) + [(6, 7)])
+
+
+# Rank-2 cycles of cones, each ray in exactly two of them.  The zigzag turns
+# back at (-2, 1) and at (-1, 2), so the angles from 117 to 153 degrees are
+# covered three times and the rest once, cone 0, from (-6, 1) to (-1, 0),
+# among them.  The pentagram steps by about 144 degrees and covers the
+# plane twice.
+ZIGZAG = make_fan(
+    2,
+    [(1, 0), (0, 1), (-2, 1), (-1, 2), (-6, 1), (-1, 0), (0, -1)],
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0)],
+)
+PENTAGRAM = make_fan(
+    2,
+    [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
+    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
+)
+
+
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """Calls through fans._pair_finding and fans.positive_circuit, by name."""
+    calls = Counter()
+    for name in ("_pair_finding", "positive_circuit"):
+        original = getattr(fans, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(fans, name, counted)
+    return calls
+
+
+class TestCompleteFanFastPath:
+    """fan_diagnostics decides complete fans without pair checks (_covers_once)."""
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            fan_projective_space(4),
+            fan_projective_space(5),
+            fan_projective_space(6),
+            fan_product(P1, fan_projective_space(3)),
+            fan_product(fan_projective_space(2), fan_projective_space(2)),
+            fan_product(fan_projective_space(3), fan_projective_space(3)),
+            power(P1, 6),
+            power(P1, 7),
+        ],
+        ids=["P4", "P5", "P6", "P1xP3", "P2xP2", "P3xP3", "(P1)^6", "(P1)^7"],
+    )
+    def test_complete_fans_make_no_pair_check(self, f, pair_calls):
+        report = validate_fan(f)
+        assert report.valid and report.complete
+        assert pair_calls == Counter()
+
+    @pytest.mark.parametrize("n, rounds, size", [(2, 3, 41), (3, 1, 7)])
+    def test_subdivision_families_make_no_pair_check(self, n, rounds, size, pair_calls):
+        family = iterated_star_subdivisions(fan_projective_space(n), rounds)
+        assert len(family) == size
+        for f in family:
+            report = validate_fan(f)
+            assert report.valid and report.complete
+        assert pair_calls == Counter()
+
+    def test_punctured_affine_pairs_take_the_rank_pretest(self, pair_calls):
+        assert validate_fan(fan_punctured_affine(10)).valid
+        assert pair_calls == Counter({"_pair_finding": 45})
+
+    def test_crossed_fan_scans_every_pair(self, pair_calls):
+        assert not validate_fan(crossed_p5()).valid
+        assert pair_calls == Counter({"_pair_finding": 21, "positive_circuit": 21})
+
+    def test_complete_valid_fans_take_the_fast_path(self):
+        candidates = (
+            corpus()
+            + SMOOTH_BASES
+            + COMPLETE_BASES
+            + list(iterated_star_subdivisions(fan_projective_space(2), 3))
+            + list(iterated_star_subdivisions(fan_hirzebruch(3), 2))
+        )
+        taken = 0
+        for f in candidates:
+            pure = all(len(c) == f.ambient_rank for c in f.max_cones)
+            complete = pair_scan_diagnostics(f) == () and pure and is_complete(f)
+            assert fans._covers_once(f) == complete, f
+            taken += complete
+        # 6 of corpus(), 7 of SMOOTH_BASES, all 19 of COMPLETE_BASES, and
+        # every member of the two families (41 and 19).
+        assert taken == 92
+
+    def test_moved_ray_can_keep_the_fan_complete(self):
+        # P^2 with (-1, -1) moved to (-1, -2), still inside the negative quadrant.
+        kept = make_fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+        assert fans._covers_once(kept)
+        assert pair_scan_diagnostics(kept) == ()
+        # Moved to (-1, 1), it lies on the same side of (0, 1) as (1, 0).
+        folded = make_fan(2, [(1, 0), (0, 1), (-1, 1)], [(0, 1), (1, 2), (0, 2)])
+        assert not fans._covers_once(folded)
+        assert fan_diagnostics(folded) == pair_scan_diagnostics(folded) != ()
+
+    @pytest.mark.parametrize(
+        "f",
+        [ZIGZAG, fan_product(ZIGZAG, P1), PENTAGRAM, fan_product(PENTAGRAM, P1)],
+        ids=["zigzag", "zigzag x P1", "pentagram", "pentagram x P1"],
+    )
+    def test_paired_facets_that_fold_or_wind_twice_are_refused(self, f):
+        # Every facet lies in exactly two cones.  The zigzag folds back on
+        # itself, so the opposite-sides check refuses it (the generic point
+        # lies in one cone).  The pentagram covers every generic point twice,
+        # so only the generic-point count refuses it.
+        assert not fans._covers_once(f)
+        assert fan_diagnostics(f) == pair_scan_diagnostics(f) != ()
+
+    def test_dependent_cone_is_refused(self):
+        # Bypasses make_fan, which refuses dependent cones: every ray lies in
+        # two cones, but the elimination finds cone (0, 1) singular.
+        f = Fan(
+            ambient_rank=2,
+            rays=((1, 0), (-1, 0), (0, 1), (0, -1)),
+            max_cones=((0, 1), (0, 3), (1, 2), (2, 3)),
+        )
+        assert not fans._covers_once(f)
+        assert fan_diagnostics(f) == pair_scan_diagnostics(f)
+
+    def test_unused_ray_is_refused(self):
+        p2 = fan_projective_space(2)
+        f = make_fan(2, list(p2.rays) + [(1, 1)], p2.max_cones)
+        assert not fans._covers_once(f)
+        assert fan_diagnostics(f) == pair_scan_diagnostics(f) != ()
+
+    @settings(deadline=None, max_examples=150)
+    @given(random_fans())
+    def test_agrees_with_pair_scan_on_random_fans(self, f):
+        assert fan_diagnostics(f) == pair_scan_diagnostics(f)
+
+    @settings(deadline=None, max_examples=200)
+    @given(perturbed_complete_fans())
+    def test_agrees_with_pair_scan_on_perturbed_complete_fans(self, f):
+        assert fan_diagnostics(f) == pair_scan_diagnostics(f)
 
 
 class TestPredicates:

@@ -10,12 +10,13 @@ import math
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricflex.errors import DimensionMismatchError, NonSquareError, ZeroVectorError
 from toricflex.intlinalg import (
     IntMatrix,
+    _scaled_dual_basis,
     det,
     extends_to_z_basis,
     positive_circuit,
@@ -211,6 +212,56 @@ class TestDet:
         else:
             product = 0
         assert abs(det(m)) == product
+
+
+def square_rows(n: int, bound: int):
+    row = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n)
+
+
+@st.composite
+def singular_rows(draw):
+    """n x n rows, n <= 6, one of them an integer combination of the others."""
+    n = draw(st.integers(1, 6))
+    rows = draw(square_rows(n, 10 ** 6))[: n - 1]
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+    combo = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+    rows.insert(draw(st.integers(0, n - 1)), combo)
+    return rows
+
+
+class TestScaledDualBasis:
+    """The kernel of the complete-fan test: d = det(R) and R @ Y == d I."""
+
+    def test_examples(self):
+        assert _scaled_dual_basis([[1]]) == (1, [(1,)])
+        assert _scaled_dual_basis([[-3]]) == (-3, [(1,)])
+        # The first pivot needs a row swap; d keeps the sign of det(R).
+        assert _scaled_dual_basis([[0, 1], [1, 0]]) == (-1, [(0, -1), (-1, 0)])
+        assert _scaled_dual_basis([[2, 1], [1, 1]]) == (1, [(1, -1), (-1, 2)])
+
+    def test_singular_examples(self):
+        assert _scaled_dual_basis([[0]]) is None
+        assert _scaled_dual_basis([[1, 2], [2, 4]]) is None
+        assert _scaled_dual_basis([[0, 1, 0], [0, 0, 1], [0, 1, 1]]) is None
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 6).flatmap(lambda n: square_rows(n, 10 ** 6)))
+    def test_duals_against_cofactor_oracle(self, rows):
+        expected = cofactor_det(IntMatrix.from_rows(rows))
+        assume(expected != 0)
+        d, cols = _scaled_dual_basis(rows)
+        assert d == expected
+        n = len(rows)
+        assert len(cols) == n and all(len(col) == n for col in cols)
+        product = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in rows]
+        assert product == [[d * (i == j) for j in range(n)] for i in range(n)]
+
+    @settings(deadline=None, max_examples=200)
+    @given(singular_rows())
+    def test_singular_rows_are_refused(self, rows):
+        assert cofactor_det(IntMatrix.from_rows(rows)) == 0
+        assert _scaled_dual_basis(rows) is None
 
 
 class TestRank:

@@ -15,18 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricflex import fans as fans_module
 from toricflex.cover import KIND_FLEXIBLE_COMPLEMENT, build_cover, verify_certificate
 from toricflex.fans import (
     Fan,
     fan_hirzebruch,
     fan_product,
     fan_projective_space,
+    fan_diagnostics,
     iterated_star_subdivisions,
     make_fan,
 )
 from toricflex.intlinalg import IntMatrix, det
 
-from oracles import change_basis, unimodular_bases
+from oracles import change_basis, pair_scan_diagnostics, unimodular_bases
 
 P1 = fan_projective_space(1)
 
@@ -89,6 +91,15 @@ def test_skeleta_of_each_family(family):
 @given(drawn=skeleton_fans())
 def test_skeleta_under_a_change_of_basis(drawn):
     check_skeleton(*drawn)
+
+
+@settings(deadline=None, max_examples=60)
+@given(drawn=skeleton_fans())
+def test_skeleta_leave_the_complete_fan_test_to_the_pair_scan(drawn):
+    # A skeleton is pure but not full-dimensional, so the fast path refuses it.
+    fan = drawn[2]
+    assert not fans_module._covers_once(fan)
+    assert fan_diagnostics(fan) == pair_scan_diagnostics(fan) == ()
 
 
 # Counted on the fans as built, without a change of basis, which can move
