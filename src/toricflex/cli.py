@@ -8,7 +8,9 @@ goes to stderr.  The path "-" means the standard stream.
 
 COMMANDS is the one list of commands and of the options each takes;
 OPTIONS holds each option's argparse keywords, and build_parser is one
-loop over the two.
+loop over the two.  When the first argument names a command, the loop
+adds that command alone, so each call builds one subparser; usage text
+still lists all of them.  Any other argument list builds them all.
 """
 
 from __future__ import annotations
@@ -246,13 +248,20 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricflex",
         description="Fan toolkit: validation, star subdivisions, and flexibility cover certificates.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, handler, options) in COMMANDS.items():
+    wanted = list(COMMANDS)
+    if argv[:1] and argv[0] in COMMANDS:
+        # Usage lines still list every command.  Left unset on the full
+        # path, where argparse names the argument "command" in its errors.
+        commands.metavar = "{" + ",".join(COMMANDS) + "}"
+        wanted = argv[:1]
+    for name in wanted:
+        help_line, handler, options = COMMANDS[name]
         sub = commands.add_parser(name, help=help_line)
         for option in options:
             sub.add_argument(option, **OPTIONS[option])
@@ -261,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

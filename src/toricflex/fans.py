@@ -215,33 +215,36 @@ def _pair_finding(f: Fan, ia: int, ib: int) -> str | None:
     )
 
 
-def _covers_once(f: Fan) -> bool:
-    """The complete-fan test of fan_diagnostics; False sends the fan to the pair scan."""
+def _covers_once(f: Fan) -> tuple[int, ...] | None:
+    """The complete-fan test of fan_diagnostics: det R for each maximal cone.
+
+    None sends the fan to the pair scan.
+    """
     n, cones = f.ambient_rank, f.max_cones
     if not cones or {len(c) for c in cones} != {n} or len(set(cones)) < len(cones):
-        return False
+        return None
     across: dict[Cone, list[int]] = {}  # facet -> the rays opposite it
     for c in cones:
         for i in range(n):
             across.setdefault(c[:i] + c[i + 1:], []).append(c[i])
     if len({i for c in cones for i in c}) < len(f.rays) or {len(v) for v in across.values()} != {2}:
-        return False
+        return None
     duals = [_scaled_dual_basis([f.rays[i] for i in c]) for c in cones]
     if None in duals:
-        return False
+        return None
     base, heights = [f.rays[i] for i in cones[0]], []  # heights: y_i . r_k, r_k in cone 0
     for c, (d, ys) in zip(cones, duals):
         for i, y in enumerate(ys):
             across_i = sum(across[c[:i] + c[i + 1:]]) - c[i]  # the ray across facet i
             if d * sum(map(mul, y, f.rays[across_i])) >= 0:
-                return False
+                return None
         heights.append([[sum(map(mul, y, r)) for r in base] for y in ys])
     m = 2 + max(abs(h) for hs in heights for row in hs for h in row)
     inside = sum(
         all(d * sum(h * m**k for k, h in enumerate(row)) > 0 for row in hs)
         for (d, _), hs in zip(duals, heights)
     )
-    return inside == 1
+    return tuple(d for d, _ in duals) if inside == 1 else None
 
 
 def fan_diagnostics(f: Fan) -> tuple[str, ...]:
@@ -272,8 +275,11 @@ def fan_diagnostics(f: Fan) -> tuple[str, ...]:
     smallest face holding x is thus one ray set in C and in C': C and C'
     meet in their shared face, whatever the dimension of the meeting.
     """
-    if _covers_once(f):
-        return ()
+    return () if _covers_once(f) is not None else _pair_scan(f)
+
+
+def _pair_scan(f: Fan) -> tuple[str, ...]:
+    """fan_diagnostics on a fan that _covers_once does not accept."""
     diags: list[str] = []
     if not f.max_cones:
         diags.append("fan has no maximal cones")
@@ -305,15 +311,21 @@ def fan_diagnostics(f: Fan) -> tuple[str, ...]:
 
 
 def validate_fan(f: Fan) -> FanReport:
-    """The fan's diagnostics (fan_diagnostics) and its predicates."""
-    diags = fan_diagnostics(f)
+    """The fan's diagnostics (fan_diagnostics) and its predicates.
+
+    A full-dimensional simplicial cone is smooth exactly when |det| = 1, so
+    a fan that _covers_once accepts takes its smoothness from the
+    determinants that test computed.
+    """
+    dets = _covers_once(f)
+    diags = () if dets is not None else _pair_scan(f)
     valid = not diags
     pure = bool(f.max_cones) and all(len(c) == f.ambient_rank for c in f.max_cones)
     complete = is_complete(f) if valid and pure else False
     tfr = torus_factor_rank(f)
     return FanReport(
         valid=valid,
-        smooth=is_smooth_fan(f),
+        smooth=all(abs(d) == 1 for d in dets) if dets is not None else is_smooth_fan(f),
         simplicial=True,
         nondegenerate=tfr == 0,
         complete=complete,

@@ -52,5 +52,5 @@ def change_basis(vectors, basis) -> list[Vector]:
 
 def pair_scan_diagnostics(f: fans.Fan) -> tuple[str, ...]:
     """fan_diagnostics by the pair scan alone, every fan taking the slow path."""
-    with mock.patch.object(fans, "_covers_once", return_value=False):
+    with mock.patch.object(fans, "_covers_once", return_value=None):
         return fans.fan_diagnostics(f)

@@ -1,5 +1,6 @@
 """End-to-end command line tests driven through main(argv)."""
 
+import argparse
 import contextlib
 import copy
 import io
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricflex.cli import main
+from toricflex import cli
+from toricflex.cli import COMMANDS, main
 from toricflex.cover import certificate_to_dict, certificate_to_json, build_cover
 from toricflex.fans import (
     fan_from_json,
@@ -290,6 +292,17 @@ class TestParser:
         assert main([]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command\n"),
+            (["bogus"], "argument command: invalid choice: 'bogus' (choose from "),
+        ],
+    )
+    def test_errors_name_the_command_argument(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert f"toricflex: error: {message}" in capsys.readouterr().err
+
     def test_unknown_flag(self, capsys):
         assert main(["validate", "--frobnicate"]) == 2
         capsys.readouterr()
@@ -307,6 +320,90 @@ class TestParser:
         assert "unrecognized arguments: --verbose" in captured.err
         assert not out.exists()
 
+
+# One successful run of each command on P^2, from a directory holding
+# p2.json and its certificate cert.json (the p2_dir fixture).
+RUNS = {
+    "validate": ["validate", "--input", "p2.json"],
+    "analyze": ["analyze", "--input", "p2.json"],
+    "cover": ["cover", "--input", "p2.json"],
+    "verify": ["verify", "--input", "p2.json", "--cert", "cert.json", "--verbose"],
+    "example": ["example", "--name", "projective", "--param", "2"],
+    "subdivide": ["subdivide", "--input", "p2.json", "--cone", "0,1"],
+}
+
+PARSER_CORPUS = (
+    [[], ["--help"], ["-h"], ["-h", "cover"], ["bogus"], ["--input", "x"]]
+    + [[name, "--help"] for name in COMMANDS]
+    + [
+        ["verify", "--input", "p2.json"],
+        ["subdivide", "--input", "p2.json"],
+        ["validate", "--input"],
+        ["example", "--name", "weighted", "--param", "1"],
+        ["validate", "--frobnicate"],
+        ["validate", "--input", "p2.json", "extra"],
+        ["validate", "--input", "p2.json", "--verbose"],
+    ]
+    + list(RUNS.values())
+)
+
+
+@pytest.fixture
+def p2_dir(tmp_path, monkeypatch):
+    (tmp_path / "p2.json").write_text(P2_JSON, encoding="utf-8")
+    cert = certificate_to_json(build_cover(fan_projective_space(2)))
+    (tmp_path / "cert.json").write_text(cert, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.fixture
+def add_parser_calls(monkeypatch):
+    """The names passed to argparse's add_parser, in call order."""
+    calls = []
+    original = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        calls.append(name)
+        return original(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return calls
+
+
+@pytest.mark.parametrize("columns", [None, "30", "200"], ids=["columns-unset", "30", "200"])
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_one_command_parser_matches_the_full_parser(p2_dir, monkeypatch, capsys, columns, argv):
+    # The oracle is main with every command's subparser built, whatever argv names.
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    code = main(argv)
+    fast = (code, *capsys.readouterr())
+    build_all = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): build_all())
+    code = main(argv)
+    assert fast == (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_a_named_command_builds_one_subparser(p2_dir, capsys, add_parser_calls, name):
+    assert main(RUNS[name]) == 0
+    assert add_parser_calls == [name]
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 2), (["bogus"], 2)])
+def test_other_argv_builds_every_subparser(capsys, add_parser_calls, argv, code):
+    assert main(argv) == code
+    assert add_parser_calls == list(COMMANDS)
+
+
+def test_main_reads_sys_argv(p2_dir, monkeypatch, capsys, add_parser_calls):
+    monkeypatch.setattr(sys, "argv", ["toricflex", "validate", "--input", "p2.json"])
+    assert main() == 0
+    assert capsys.readouterr().out == "valid, smooth, nondegenerate, complete\n"
+    assert add_parser_calls == ["validate"]
 
 # Inputs that once escaped the exit-code contract as tracebacks with exit 1.
 DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
