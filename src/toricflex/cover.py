@@ -33,7 +33,7 @@ from .fans import (
     report_to_dict,
     validate_fan,
 )
-from .intlinalg import IntMatrix, is_int, rank
+from .intlinalg import IntMatrix, _bareiss, is_int, rank
 from .jsonfmt import compact_json, json_object, load_json
 
 KIND_AFFINE_SPACE = "AffineSpace"
@@ -116,23 +116,19 @@ def _removed_faces(cprime: Cone, cone: Cone) -> Iterator[tuple[Cone, int]]:
 
 def _chart(f: Fan, cone_index: int) -> ChartCertificate:
     # The chart of one maximal cone of a valid, smooth, nondegenerate fan,
-    # as build_cover knows it from the fan report.  The scan over the fan's
-    # rays in canonical order takes each ray that enlarges the span; it
-    # starts from the cone's independent rays and is offered every ray of a
-    # spanning set, so it reaches rank n.  The scan order makes the output
-    # deterministic.  A full-dimensional cone takes no ray and gives an
-    # AffineSpace chart: trivial quotient, empty complement.
+    # as build_cover knows it from the fan report.  It adds each fan ray, in
+    # canonical order, that enlarges the span of the cone and the rays added
+    # before it.  These are the pivot columns, after the cone's own k, of one
+    # elimination on the cone's rays followed by every fan ray: a pivot
+    # column is one independent of the columns before it.  The fan rays
+    # span, so the pivots reach rank n.  A full-dimensional cone adds none
+    # and gives an AffineSpace chart: trivial quotient, empty complement.
     c = f.max_cones[cone_index]
-    n = f.ambient_rank
-    span = [f.rays[i] for i in c]
-    added: list[int] = []
-    for idx in range(len(f.rays)):
-        if len(span) == n:
-            break
-        candidate = f.rays[idx]
-        if rank(IntMatrix.from_rows(span + [candidate])) == len(span) + 1:
-            span.append(candidate)
-            added.append(idx)
+    n, k = f.ambient_rank, len(c)
+    added: tuple[int, ...] = ()
+    if k < n:
+        pivots, _ = _bareiss(zip(*[f.rays[i] for i in c], *f.rays))
+        added = tuple(j - k for j in pivots[k:])
 
     cprime = tuple(sorted(set(c) | set(added)))
     # Guarded: on an affine chart the rule would try all 2^n subsets of the cone.
@@ -140,13 +136,14 @@ def _chart(f: Fan, cone_index: int) -> ChartCertificate:
     return ChartCertificate(
         cone_index=cone_index,
         kind=KIND_FLEXIBLE_COMPLEMENT if added else KIND_AFFINE_SPACE,
-        k=len(c),
+        k=k,
         n=n,
-        added_ray_indices=tuple(sorted(added)),
+        added_ray_indices=added,
         cprime_ray_indices=cprime,
         quotient=quotient_group(f, cprime) if added else QuotientGroup((), 1),
         complement_faces=complement,
-        min_complement_codim=min(d for _, d in complement) if complement else n + 1,
+        # _removed_faces yields the faces by size, so the first is a smallest.
+        min_complement_codim=complement[0][1] if complement else n + 1,
     )
 
 
@@ -261,7 +258,7 @@ def _chart_findings(f: Fan, ch: ChartCertificate, smooth: bool) -> list[str]:
     # checks run only to word the findings for a list that differs.
     if tuple(ch.complement_faces) != tuple(expected.items()):
         out.extend(_complement_findings(tag, ch.complement_faces, expected))
-    expected_min = min(expected.values()) if expected else n + 1
+    expected_min = next(iter(expected.values()), n + 1)  # faces come by size
     if ch.min_complement_codim != expected_min:
         out.append(
             f"{tag}: min_complement_codim is {ch.min_complement_codim}, "

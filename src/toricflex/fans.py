@@ -313,22 +313,21 @@ def _pair_scan(f: Fan) -> tuple[str, ...]:
 def validate_fan(f: Fan) -> FanReport:
     """The fan's diagnostics (fan_diagnostics) and its predicates.
 
+    A fan is valid, pure and complete exactly when _covers_once accepts it
+    (the proof is in fan_diagnostics), so that one test decides complete.
     A full-dimensional simplicial cone is smooth exactly when |det| = 1, so
-    a fan that _covers_once accepts takes its smoothness from the
-    determinants that test computed.
+    an accepted fan takes its smoothness from the determinants that test
+    computed.
     """
     dets = _covers_once(f)
     diags = () if dets is not None else _pair_scan(f)
-    valid = not diags
-    pure = bool(f.max_cones) and all(len(c) == f.ambient_rank for c in f.max_cones)
-    complete = is_complete(f) if valid and pure else False
     tfr = torus_factor_rank(f)
     return FanReport(
-        valid=valid,
+        valid=not diags,
         smooth=all(abs(d) == 1 for d in dets) if dets is not None else is_smooth_fan(f),
         simplicial=True,
         nondegenerate=tfr == 0,
-        complete=complete,
+        complete=dets is not None,
         torus_factor_rank=tfr,
         diagnostics=diags,
     )

@@ -207,51 +207,61 @@ def snf(m: IntMatrix) -> SnfResult:
     )
 
 
-def _bareiss(m: IntMatrix) -> tuple[int, int]:
+def _fraction_free_step(row: list[int], pivot_row: list[int], col: int, start: int, prev: int):
+    """The Bareiss (1968) update of row by pivot_row, from column start on.
+
+    With p = pivot_row[col], each entry becomes (p * row[j] - row[col] *
+    pivot_row[j]) / prev, prev the previous pivot.  Sylvester's identity
+    makes the division exact; every elimination in this module takes its
+    steps here, so this is the one place that asserts it.
+    """
+    p, f = pivot_row[col], row[col]
+    for j in range(start, len(row)):
+        q, rem = divmod(p * row[j] - f * pivot_row[j], prev)
+        if rem:
+            raise AssertionError("fraction-free step lost exactness")
+        row[j] = q
+
+
+def _bareiss(rows) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) elimination with row pivoting.
 
-    Returns the rank and the last pivot with the sign of the row
+    Returns the pivot columns, each independent of the columns before it
+    (their number is the rank), and the last pivot with the sign of the row
     permutation applied; for a square matrix of full rank that signed
     pivot is the determinant.
     """
-    a = [list(row) for row in m.entries]
-    nr, nc = m.rows, m.cols
-    sign = 1
-    prev = 1
-    r = 0
+    a = [list(row) for row in rows]
+    nr, nc = len(a), len(a[0])
+    sign = prev = 1
+    pivots: list[int] = []
     for col in range(nc):
+        r = len(pivots)
         if r == nr:
             break
         pivot_row = next((i for i in range(r, nr) if a[i][col] != 0), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-            sign = -sign
+            a[r], a[pivot_row], sign = a[pivot_row], a[r], -sign
         for i in range(r + 1, nr):
-            for j in range(col + 1, nc):
-                num = a[i][j] * a[r][col] - a[i][col] * a[r][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise AssertionError("fraction-free step lost exactness")
-                a[i][j] = q
-            a[i][col] = 0
+            _fraction_free_step(a[i], a[r], col, col + 1, prev)
         prev = a[r][col]
-        r += 1
-    return r, sign * prev
+        pivots.append(col)
+    return pivots, sign * prev
 
 
 def det(m: IntMatrix) -> int:
     """Determinant by fraction-free (Bareiss) elimination."""
     if m.rows != m.cols:
         raise NonSquareError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    r, signed_pivot = _bareiss(m)
-    return signed_pivot if r == m.rows else 0
+    pivots, signed_pivot = _bareiss(m.entries)
+    return signed_pivot if len(pivots) == m.rows else 0
 
 
 def rank(m: IntMatrix) -> int:
     """Rank over the rationals, computed without leaving the integers."""
-    return _bareiss(m)[0]
+    return len(_bareiss(m.entries)[0])
 
 
 def _scaled_dual_basis(rows) -> tuple[int, list[Vector]] | None:
@@ -270,16 +280,10 @@ def _scaled_dual_basis(rows) -> tuple[int, list[Vector]] | None:
             return None
         if p != k:
             a[k], a[p], sign = a[p], a[k], -sign
-        pivot_row, pk = a[k], a[k][k]
         for row in a:
-            if row is not pivot_row:
-                f = row[k]
-                for j in range(k + 1, 2 * n):
-                    q, rem = divmod(pk * row[j] - f * pivot_row[j], prev)
-                    if rem:
-                        raise AssertionError("fraction-free step lost exactness")
-                    row[j] = q
-        prev = pk
+            if row is not a[k]:
+                _fraction_free_step(row, a[k], k, k + 1, prev)
+        prev = a[k][k]
     return sign * prev, [tuple(sign * row[n + i] for row in a) for i in range(n)]
 
 
@@ -337,17 +341,10 @@ def positive_circuit(m: IntMatrix, weights) -> tuple[int, ...] | None:
         if leave is None:
             raise AssertionError("phase one is bounded below by 0")
         pivot_row = rows[leave]
-        p = pivot_row[enter]
         for row in rows + [cost]:
-            if row is pivot_row:
-                continue
-            f = row[enter]
-            for j, (x, y) in enumerate(zip(row, pivot_row)):
-                q, rem = divmod(p * x - f * y, denom)
-                if rem:
-                    raise AssertionError("fraction-free step lost exactness")
-                row[j] = q
-        denom = p
+            if row is not pivot_row:
+                _fraction_free_step(row, pivot_row, enter, 0, denom)
+        denom = pivot_row[enter]
         basis[leave] = enter
     if cost[-1] != 0:
         return None

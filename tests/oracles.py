@@ -5,7 +5,11 @@ oracles (the exhaustive circuit scans in test_fans.py and
 test_intlinalg.py), so it lives with the tests rather than in the library.
 unimodular_bases and change_basis move test fans off the coordinate axes.
 pair_scan_diagnostics is fan_diagnostics with its complete-fan fast path
-turned off, the oracle the fast path is held to.
+turned off, the oracle the fast path is held to, and complete_by_facet_pairing
+is the completeness verdict validate_fan is held to.  greedy_added_rays is
+the chart extension as one rank test per fan ray, and rank_prefix_pivots
+finds the pivot columns of an echelon form by Smith-form ranks; they are
+the oracles for cover._chart and intlinalg._bareiss.
 """
 
 from unittest import mock
@@ -13,7 +17,7 @@ from unittest import mock
 from hypothesis import strategies as st
 
 from toricflex import fans
-from toricflex.intlinalg import IntMatrix, Vector, snf
+from toricflex.intlinalg import IntMatrix, Vector, rank, snf
 
 
 def kernel_basis(m: IntMatrix) -> tuple[Vector, ...]:
@@ -54,3 +58,36 @@ def pair_scan_diagnostics(f: fans.Fan) -> tuple[str, ...]:
     """fan_diagnostics by the pair scan alone, every fan taking the slow path."""
     with mock.patch.object(fans, "_covers_once", return_value=None):
         return fans.fan_diagnostics(f)
+
+
+def complete_by_facet_pairing(f: fans.Fan) -> bool:
+    """Valid by the pair scan, pure, and complete by fans.is_complete."""
+    pure = bool(f.max_cones) and all(len(c) == f.ambient_rank for c in f.max_cones)
+    return pair_scan_diagnostics(f) == () and pure and fans.is_complete(f)
+
+
+def greedy_added_rays(f: fans.Fan, cone_index: int) -> tuple[int, ...]:
+    """The rays a chart adds to a maximal cone: each fan ray, in index order,
+    that enlarges the span, found by one rank test per ray."""
+    c = f.max_cones[cone_index]
+    n = f.ambient_rank
+    span = [f.rays[i] for i in c]
+    added: list[int] = []
+    for idx in range(len(f.rays)):
+        if len(span) == n:
+            break
+        candidate = f.rays[idx]
+        if rank(IntMatrix.from_rows(span + [candidate])) == len(span) + 1:
+            span.append(candidate)
+            added.append(idx)
+    return tuple(added)
+
+
+def rank_prefix_pivots(m: IntMatrix) -> list[int]:
+    """The columns j at which the rank of the first j + 1 columns exceeds
+    the rank of the first j, each rank the number of Smith invariant factors."""
+    ranks = [0] + [
+        len(snf(IntMatrix.from_rows([row[: j + 1] for row in m.entries])).invariant_factors)
+        for j in range(m.cols)
+    ]
+    return [j for j in range(m.cols) if ranks[j + 1] > ranks[j]]

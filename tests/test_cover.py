@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toricflex import intlinalg
+from toricflex import cover, intlinalg
 from toricflex.cli import main
 from toricflex.conegeom import QuotientGroup
 from toricflex.cover import (
@@ -20,6 +20,7 @@ from toricflex.cover import (
     FORMAT_VERSION,
     KIND_AFFINE_SPACE,
     KIND_FLEXIBLE_COMPLEMENT,
+    _chart,
     _complement_findings,
     _removed_faces,
     build_cover,
@@ -49,7 +50,7 @@ from toricflex.fans import (
 )
 from toricflex.jsonfmt import compact_json
 
-from oracles import change_basis, unimodular_bases
+from oracles import change_basis, greedy_added_rays, unimodular_bases
 
 
 def skew_fan():
@@ -635,6 +636,48 @@ class TestComplementRule:
             assert set(face) <= set(cprime) and not set(face) <= set(cone)
         keys = [(size, face) for face, size in faces]
         assert keys == sorted(set(keys))
+
+
+class TestChartExtension:
+    """_chart takes its added rays from one elimination per lower-dimensional
+    cone; the oracle is the scan it replaced, one rank test per fan ray."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_punctured_affine_matches_greedy_scan(self, n):
+        f = fan_punctured_affine(n)
+        for i in range(len(f.max_cones)):
+            assert _chart(f, i).added_ray_indices == greedy_added_rays(f, i)
+
+    @settings(deadline=None, max_examples=100)
+    @given(fan=lower_dimensional_fans())
+    def test_random_smooth_fans_match_greedy_scan(self, fan):
+        for i in range(len(fan.max_cones)):
+            assert _chart(fan, i).added_ray_indices == greedy_added_rays(fan, i)
+
+    @staticmethod
+    def count_cover_calls(monkeypatch, name: str) -> list:
+        """Count calls through cover's own binding of name, not validate_fan's."""
+        calls: list = []
+        original = getattr(cover, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cover, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "f, count",
+        [(fan_punctured_affine(10), 10), (fan_projective_space(5), 0)],
+        ids=["punctured A^10", "P^5"],
+    )
+    def test_one_elimination_per_lower_dimensional_cone(self, monkeypatch, f, count):
+        # Ten one-ray cones in rank 10; six full-dimensional cones in rank 5.
+        eliminations = self.count_cover_calls(monkeypatch, "_bareiss")
+        rank_tests = self.count_cover_calls(monkeypatch, "rank")
+        build_cover(f)
+        assert (len(eliminations), len(rank_tests)) == (count, 0)
 
 
 class IntSubclass(int):

@@ -49,7 +49,13 @@ from toricflex.fans import _pair_finding
 from toricflex.conegeom import cone_contains
 from toricflex.intlinalg import IntMatrix, positive_circuit, rank
 
-from oracles import change_basis, kernel_basis, pair_scan_diagnostics, unimodular_bases
+from oracles import (
+    change_basis,
+    complete_by_facet_pairing,
+    kernel_basis,
+    pair_scan_diagnostics,
+    unimodular_bases,
+)
 
 P2_DIGEST = "41837965ad3f42ad087b653b59d3eed577ce290ed5a871c7c06f3a6658ed06ce"
 
@@ -556,23 +562,37 @@ class TestCompleteFanFastPath:
         assert not validate_fan(crossed_p5()).valid
         assert pair_calls == Counter({"_pair_finding": 21, "positive_circuit": 21})
 
-    def test_complete_valid_fans_take_the_fast_path(self):
-        candidates = (
+    @staticmethod
+    def candidates():
+        return (
             corpus()
             + SMOOTH_BASES
             + COMPLETE_BASES
             + list(iterated_star_subdivisions(fan_projective_space(2), 3))
             + list(iterated_star_subdivisions(fan_hirzebruch(3), 2))
         )
+
+    def test_complete_valid_fans_take_the_fast_path(self):
         taken = 0
-        for f in candidates:
-            pure = all(len(c) == f.ambient_rank for c in f.max_cones)
-            complete = pair_scan_diagnostics(f) == () and pure and is_complete(f)
+        for f in self.candidates():
+            complete = complete_by_facet_pairing(f)
             assert (fans._covers_once(f) is not None) == complete, f
             taken += complete
         # 6 of corpus(), 7 of SMOOTH_BASES, all 19 of COMPLETE_BASES, and
         # every member of the two families (41 and 19).
         assert taken == 92
+
+    def test_complete_flag_matches_facet_pairing(self, monkeypatch):
+        # validate_fan reads complete from the fast path, never is_complete.
+        candidates = self.candidates()
+        expected = [complete_by_facet_pairing(f) for f in candidates]
+        monkeypatch.setattr(fans, "is_complete", None)
+        assert [validate_fan(f).complete for f in candidates] == expected
+
+    @settings(deadline=None, max_examples=200)
+    @given(perturbed_complete_fans())
+    def test_complete_flag_matches_facet_pairing_on_perturbed_fans(self, f):
+        assert validate_fan(f).complete == complete_by_facet_pairing(f)
 
     def test_moved_ray_can_keep_the_fan_complete(self):
         # P^2 with (-1, -1) moved to (-1, -2), still inside the negative quadrant.

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from toricflex.errors import DimensionMismatchError, NonSquareError, ZeroVectorError
 from toricflex.intlinalg import (
     IntMatrix,
+    _bareiss,
     _scaled_dual_basis,
     det,
     extends_to_z_basis,
@@ -25,7 +26,7 @@ from toricflex.intlinalg import (
     snf,
 )
 
-from oracles import kernel_basis
+from oracles import kernel_basis, rank_prefix_pivots
 
 
 def cofactor_det(m: IntMatrix) -> int:
@@ -275,6 +276,45 @@ class TestRank:
     @given(int_matrices())
     def test_rank_equals_transpose_rank(self, m):
         assert rank(m) == rank(m.transpose())
+
+
+@st.composite
+def shaped_matrices(draw, shape):
+    """Wide (more columns than rows), tall (more rows than columns), or
+    rank-deficient: a product through an inner dimension below both sides."""
+
+    def grid(nr, nc):
+        row = st.lists(st.integers(-5, 5), min_size=nc, max_size=nc)
+        return IntMatrix.from_rows(draw(st.lists(row, min_size=nr, max_size=nr)))
+
+    small = draw(st.integers(1, 4))
+    large = draw(st.integers(small + 1, 7))
+    if shape == "wide":
+        return grid(small, large)
+    if shape == "tall":
+        return grid(large, small)
+    nr, nc = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    inner = draw(st.integers(1, min(nr, nc) - 1))
+    return grid(nr, inner) @ grid(inner, nc)
+
+
+class TestBareissPivots:
+    """_bareiss names the pivot columns cover._chart takes its added rays from."""
+
+    def test_examples(self):
+        # The signed last pivot is the minor on the pivot columns.
+        assert _bareiss([[1, 2, 3], [2, 4, 7]]) == ([0, 2], 1)
+        assert _bareiss([[0, 0, 1], [0, 2, 5]]) == ([1, 2], -2)
+        assert _bareiss([[0, 0], [0, 0]]) == ([], 1)
+        # Rows as an iterator of tuples, as cover._chart passes its columns.
+        assert _bareiss(zip((1, 0), (1, 0), (0, 1))) == ([0, 2], 1)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from(("wide", "tall", "deficient")).flatmap(shaped_matrices))
+    def test_pivots_match_rank_prefix_oracle(self, m):
+        pivots, _ = _bareiss(m.entries)
+        assert pivots == rank_prefix_pivots(m)
+        assert len(pivots) == rank(m)
 
 
 class TestKernel:

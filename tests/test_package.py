@@ -118,9 +118,16 @@ def test_only_jsonfmt_imports_json():
 
 
 # Text written once for the whole package: by jsonfmt.json_object for the
-# object-and-keys check, by cli._note for the stderr prefix, and as
-# fans.HYPOTHESIS_PREFIX for the cover hypotheses.
-WRITTEN_ONCE = ("must be a JSON object", "is missing keys", "toricflex: ", "hypothesis failure: ")
+# object-and-keys check, by cli._note for the stderr prefix, as
+# fans.HYPOTHESIS_PREFIX for the cover hypotheses, and by
+# intlinalg._fraction_free_step for the exactness of every elimination.
+WRITTEN_ONCE = (
+    "must be a JSON object",
+    "is missing keys",
+    "toricflex: ",
+    "hypothesis failure: ",
+    "fraction-free step lost exactness",
+)
 
 
 @pytest.mark.parametrize("literal", WRITTEN_ONCE)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricflex import fans as fans_module
-from toricflex.cover import KIND_FLEXIBLE_COMPLEMENT, build_cover, verify_certificate
+from toricflex.cover import KIND_FLEXIBLE_COMPLEMENT, _chart, build_cover, verify_certificate
 from toricflex.fans import (
     Fan,
     fan_hirzebruch,
@@ -25,10 +25,17 @@ from toricflex.fans import (
     fan_diagnostics,
     iterated_star_subdivisions,
     make_fan,
+    validate_fan,
 )
 from toricflex.intlinalg import IntMatrix, det
 
-from oracles import change_basis, pair_scan_diagnostics, unimodular_bases
+from oracles import (
+    change_basis,
+    complete_by_facet_pairing,
+    greedy_added_rays,
+    pair_scan_diagnostics,
+    unimodular_bases,
+)
 
 P1 = fan_projective_space(1)
 
@@ -100,6 +107,21 @@ def test_skeleta_leave_the_complete_fan_test_to_the_pair_scan(drawn):
     fan = drawn[2]
     assert not fans_module._covers_once(fan)
     assert fan_diagnostics(fan) == pair_scan_diagnostics(fan) == ()
+
+
+@settings(deadline=None, max_examples=60)
+@given(drawn=skeleton_fans())
+def test_skeleta_are_not_complete(drawn):
+    fan = drawn[2]
+    assert (validate_fan(fan).complete, complete_by_facet_pairing(fan)) == (False, False)
+
+
+@settings(deadline=None, max_examples=60)
+@given(drawn=skeleton_fans())
+def test_chart_extension_matches_greedy_scan(drawn):
+    fan = drawn[2]
+    for i in range(len(fan.max_cones)):
+        assert _chart(fan, i).added_ray_indices == greedy_added_rays(fan, i)
 
 
 # Counted on the fans as built, without a change of basis, which can move
