@@ -67,8 +67,6 @@ def cone_contains(f: "Fan", cone, point) -> bool:
             f"point {pt} has length {len(pt)}, expected {f.ambient_rank}"
         )
     gens = _generators(f, cone)
-    if not gens:
-        return all(x == 0 for x in pt)
     cols = gens + (tuple(-x for x in pt),)
     weights = (0,) * len(gens) + (1,)
     return positive_circuit(IntMatrix.from_rows(zip(*cols)), weights) is not None

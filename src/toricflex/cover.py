@@ -33,7 +33,7 @@ from .fans import (
     report_to_dict,
     validate_fan,
 )
-from .intlinalg import IntMatrix, _bareiss, is_int, rank
+from .intlinalg import _bareiss, is_int
 from .jsonfmt import compact_json, json_object, load_json
 
 KIND_AFFINE_SPACE = "AffineSpace"
@@ -247,7 +247,7 @@ def _chart_findings(f: Fan, ch: ChartCertificate, smooth: bool) -> list[str]:
     if len(cprime) != n:
         out.append(f"{tag}: extended cone has {len(cprime)} rays, ambient rank is {n}")
         return out
-    if rank(IntMatrix.from_rows([f.rays[i] for i in cprime])) != n:
+    if len(_bareiss([f.rays[i] for i in cprime])[0]) != n:
         out.append(f"{tag}: extended cone generators are rationally dependent")
         return out
 
@@ -257,7 +257,7 @@ def _chart_findings(f: Fan, ch: ChartCertificate, smooth: bool) -> list[str]:
     # least two rays, and each codimension is the face's size.  So the
     # checks run only to word the findings for a list that differs.
     if tuple(ch.complement_faces) != tuple(expected.items()):
-        out.extend(_complement_findings(tag, ch.complement_faces, expected))
+        out.extend(_complement_findings(tag, ch.complement_faces, expected, cprime))
     expected_min = next(iter(expected.values()), n + 1)  # faces come by size
     if ch.min_complement_codim != expected_min:
         out.append(
@@ -289,7 +289,7 @@ def _int_text(x: int) -> str:
         return f"an integer of {x.bit_length()} bits"
 
 
-def _complement_findings(tag: str, faces, expected: dict[Cone, int]) -> list[str]:
+def _complement_findings(tag: str, faces, expected: dict[Cone, int], cprime: Cone) -> list[str]:
     """Every disagreement between a listed complement and the expected one."""
     out: list[str] = []
     listed: dict[Cone, int] = {}
@@ -308,9 +308,10 @@ def _complement_findings(tag: str, faces, expected: dict[Cone, int]) -> list[str
             )
     for face in listed:
         if face not in expected:
-            out.append(
-                f"{tag}: face {face} is retained by the chart, not removed"
-            )
+            if set(face) <= set(cprime):
+                out.append(f"{tag}: face {face} is retained by the chart, not removed")
+            else:
+                out.append(f"{tag}: face {face} is not a face of the extended cone")
     for face, codim in faces:
         if codim < 2:
             out.append(

@@ -30,14 +30,13 @@ from .errors import (
     ToolkitError,
 )
 from .intlinalg import (
-    IntMatrix,
     Vector,
+    _bareiss,
+    _phase_one,
     _scaled_dual_basis,
     extends_to_z_basis,
     is_int,
-    positive_circuit,
     primitivize,
-    rank,
 )
 from .jsonfmt import compact_json, json_object, load_json, pretty_json
 
@@ -110,10 +109,8 @@ def make_fan(ambient_rank, rays, max_cones) -> Fan:
     for cone in max_cones:
         c = check_ray_indices(cone, len(canon_rays), InvalidFanError)
         mapped = tuple(sorted(remap[i] for i in c))
-        if mapped:
-            gens = IntMatrix.from_rows([canon_rays[i] for i in mapped])
-            if rank(gens) != len(mapped):
-                raise NotSimplicialError(f"maximal cone {c} has rationally dependent rays")
+        if mapped and len(_bareiss([canon_rays[i] for i in mapped])[0]) != len(mapped):
+            raise NotSimplicialError(f"maximal cone {c} has rationally dependent rays")
         canon_cones.append(mapped)
     canon_cones.sort()
     return Fan(ambient_rank=ambient_rank, rays=canon_rays, max_cones=tuple(canon_cones))
@@ -141,7 +138,7 @@ def torus_factor_rank(f: Fan) -> int:
     """Corank of the span of all rays; 0 means the rays span the ambient space."""
     if not f.rays:
         return f.ambient_rank
-    return f.ambient_rank - rank(IntMatrix.from_rows(f.rays))
+    return f.ambient_rank - len(_bareiss(f.rays)[0])
 
 
 def is_complete(f: Fan) -> bool:
@@ -177,26 +174,23 @@ def _pair_finding(f: Fan, ia: int, ib: int) -> str | None:
     punctured affine space) it decides every pair.  It runs only when the
     union has at most n rays, since n + 1 vectors in rank n are always
     dependent; two distinct full-dimensional cones never pass it.
-    Otherwise an exact integer LP (intlinalg.positive_circuit) finds a
-    dependency outside the shared rays if there is one.  Only then does
-    the same LP run on single rays (conegeom.cone_contains asks it whether
-    one ray is a nonnegative combination of the other cone's rays), to give
-    the more pointed message when a ray of one cone lies inside the other
-    without being shared; that combination is also a feasible point of the
-    pair LP, so the test never fires on a pair the LP passes.  Otherwise
-    the diagnostic names the rays of the circuit.
+    Otherwise an exact integer LP (intlinalg._phase_one, the kernel of
+    positive_circuit) finds a dependency outside the shared rays if there
+    is one.  Only then does the same LP run on single rays
+    (conegeom.cone_contains asks it whether one ray is a nonnegative
+    combination of the other cone's rays), to give the more pointed message
+    when a ray of one cone lies inside the other without being shared; that
+    combination is also a feasible point of the pair LP, so the test never
+    fires on a pair the LP passes.  Otherwise the diagnostic names the rays
+    of the circuit.
     """
     ca, cb = f.max_cones[ia], f.max_cones[ib]
     shared = set(ca) & set(cb)
     union = sorted(set(ca) | set(cb))
-    if len(union) <= f.ambient_rank and rank(
-        IntMatrix.from_rows([f.rays[i] for i in union])
-    ) == len(union):
+    if len(union) <= f.ambient_rank and len(_bareiss([f.rays[i] for i in union])[0]) == len(union):
         return None
     cols = [f.rays[i] for i in ca] + [tuple(-x for x in f.rays[i]) for i in cb]
-    weights = [int(i not in shared) for i in ca + cb]
-    m = IntMatrix.from_rows(zip(*cols))
-    support = positive_circuit(m, weights)
+    support = _phase_one(zip(*cols), [int(i not in shared) for i in ca + cb])
     if support is None:
         return None
     for own, other in ((cb, ca), (ca, cb)):

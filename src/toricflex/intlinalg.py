@@ -313,11 +313,16 @@ def positive_circuit(m: IntMatrix, weights) -> tuple[int, ...] | None:
     determinant exactly, as in Bareiss elimination.
     """
     w = tuple(_check_int(x) for x in weights)
-    nc = m.cols
-    if len(w) != nc:
-        raise DimensionMismatchError(f"expected {nc} weights, got {len(w)}")
+    if len(w) != m.cols:
+        raise DimensionMismatchError(f"expected {m.cols} weights, got {len(w)}")
+    return _phase_one(m.entries, w)
+
+
+def _phase_one(rows, weights) -> tuple[int, ...] | None:
+    """positive_circuit on plain rows and int weights, one per column."""
+    nc = len(weights)
     # Row i reads: sum_j rows[i][j] * z_j + artificial_i == rows[i][-1].
-    rows = [list(row) + [0] for row in m.entries] + [list(w) + [1]]
+    rows = [list(row) + [0] for row in rows] + [list(weights) + [1]]
     basis = [nc + i for i in range(len(rows))]
     # Reduced costs of the artificials' sum, then minus its current value.
     cost = [-sum(col) for col in zip(*rows)]

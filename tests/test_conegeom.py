@@ -96,6 +96,8 @@ class TestConeContains:
         f = fan_punctured_affine(2)
         assert cone_contains(f, (), (0, 0))
         assert not cone_contains(f, (), (1, 0))
+        with pytest.raises(TypeError):
+            cone_contains(f, (), (0.0, 0))
 
     def test_dimension_mismatch(self):
         f = fan_punctured_affine(2)

@@ -510,9 +510,9 @@ PENTAGRAM = make_fan(
 
 @pytest.fixture
 def pair_calls(monkeypatch):
-    """Calls through fans._pair_finding and fans.positive_circuit, by name."""
+    """Calls through fans._pair_finding and fans._phase_one, by name."""
     calls = Counter()
-    for name in ("_pair_finding", "positive_circuit"):
+    for name in ("_pair_finding", "_phase_one"):
         original = getattr(fans, name)
 
         def counted(*args, _name=name, _original=original):
@@ -560,7 +560,7 @@ class TestCompleteFanFastPath:
 
     def test_crossed_fan_scans_every_pair(self, pair_calls):
         assert not validate_fan(crossed_p5()).valid
-        assert pair_calls == Counter({"_pair_finding": 21, "positive_circuit": 21})
+        assert pair_calls == Counter({"_pair_finding": 21, "_phase_one": 21})
 
     @staticmethod
     def candidates():
