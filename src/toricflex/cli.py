@@ -16,6 +16,7 @@ still lists all of them.  Any other argument list builds them all.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .cover import (
@@ -277,12 +278,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help; keep its code.
         return int(exc.code or 0)
+    # The command's data hold no reference cycles (a test checks this), so
+    # the cycle collector would only walk them in vain; it is paused for
+    # the command alone.  The parser, which does hold cycles, is built and
+    # run outside the pause, and a caller that turned the collector off
+    # finds it off still.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except tuple(EXIT_CODES) as exc:
         code = next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
         message = f"{HYPOTHESIS_PREFIX}{exc}" if code == EXIT_HYPOTHESIS else str(exc)
         return _fail(code, message)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def console_main() -> None:

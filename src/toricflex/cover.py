@@ -251,14 +251,14 @@ def _chart_findings(f: Fan, ch: ChartCertificate, smooth: bool) -> list[str]:
         out.append(f"{tag}: extended cone generators are rationally dependent")
         return out
 
-    expected = dict(_removed_faces(cprime, c))
+    expected = tuple(_removed_faces(cprime, c))
     # A list equal to the expected one, in the same order, passes every
     # per-face check below: the expected faces are distinct, each has at
     # least two rays, and each codimension is the face's size.  So the
     # checks run only to word the findings for a list that differs.
-    if tuple(ch.complement_faces) != tuple(expected.items()):
-        out.extend(_complement_findings(tag, ch.complement_faces, expected, cprime))
-    expected_min = next(iter(expected.values()), n + 1)  # faces come by size
+    if tuple(ch.complement_faces) != expected:
+        out.extend(_complement_findings(tag, ch.complement_faces, dict(expected), cprime))
+    expected_min = expected[0][1] if expected else n + 1  # faces come by size
     if ch.min_complement_codim != expected_min:
         out.append(
             f"{tag}: min_complement_codim is {ch.min_complement_codim}, "
@@ -307,11 +307,19 @@ def _complement_findings(tag: str, faces, expected: dict[Cone, int], cprime: Con
                 f"certificate says {listed[face]}"
             )
     for face in listed:
-        if face not in expected:
-            if set(face) <= set(cprime):
-                out.append(f"{tag}: face {face} is retained by the chart, not removed")
-            else:
-                out.append(f"{tag}: face {face} is not a face of the extended cone")
+        if face in expected:
+            continue
+        if not set(face) <= set(cprime):
+            out.append(f"{tag}: face {face} is not a face of the extended cone")
+        elif len(set(face)) != len(face):
+            out.append(f"{tag}: face {face} repeats a ray")
+        elif tuple(sorted(face)) in expected:
+            out.append(
+                f"{tag}: face {face} lists the rays of face "
+                f"{tuple(sorted(face))} out of order"
+            )
+        else:
+            out.append(f"{tag}: face {face} is retained by the chart, not removed")
     for face, codim in faces:
         if codim < 2:
             out.append(

@@ -9,14 +9,23 @@ turned off, the oracle the fast path is held to, and complete_by_facet_pairing
 is the completeness verdict validate_fan is held to.  greedy_added_rays is
 the chart extension as one rank test per fan ray, and rank_prefix_pivots
 finds the pivot columns of an echelon form by Smith-form ranks; they are
-the oracles for cover._chart and intlinalg._bareiss.
+the oracles for cover._chart and intlinalg._bareiss.  cycles_in_round_trip
+counts what the data path leaves in reference cycles, the fact on which the
+CLI's pause of the cycle collector rests.
 """
 
+import gc
 from unittest import mock
 
 from hypothesis import strategies as st
 
 from toricflex import fans
+from toricflex.cover import (
+    build_cover,
+    certificate_from_json,
+    certificate_to_json,
+    verify_certificate,
+)
 from toricflex.intlinalg import IntMatrix, Vector, rank, snf
 
 
@@ -91,3 +100,22 @@ def rank_prefix_pivots(m: IntMatrix) -> list[int]:
         for j in range(m.cols)
     ]
     return [j for j in range(m.cols) if ranks[j + 1] > ranks[j]]
+
+
+def cycles_in_round_trip(f: fans.Fan) -> int:
+    """Objects that the collector finds in reference cycles after the fan is
+    read back from JSON, covered, and its certificate written, read back and
+    verified, all with the collector off.  The certificate must verify."""
+    text = fans.fan_to_json(f)
+    gc.collect()
+    gc.disable()
+    try:
+        fan = fans.fan_from_json(text)
+        cert = certificate_from_json(certificate_to_json(build_cover(fan)))
+        passed = verify_certificate(fan, cert).passed
+        del fan, cert
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert passed
+    return found

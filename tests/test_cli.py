@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import copy
+import gc
 import io
 import json
 import math
@@ -404,6 +405,68 @@ def test_main_reads_sys_argv(p2_dir, monkeypatch, capsys, add_parser_calls):
     assert main() == 0
     assert capsys.readouterr().out == "valid, smooth, nondegenerate, complete\n"
     assert add_parser_calls == ["validate"]
+
+
+# One run per exit code from the p2_dir directory, each decided inside the
+# command: 1 and 3 are raised and mapped, 2 is a missing input file.
+EXIT_RUNS = {
+    0: ["validate", "--input", "p2.json"],
+    1: ["cover", "--input", "overlap.json"],
+    2: ["validate", "--input", "missing.json"],
+    3: ["cover", "--input", "nonsmooth.json"],
+    4: ["verify", "--input", "f1.json", "--cert", "cert.json"],
+}
+
+
+class TestCollectorPause:
+    """main runs the command with the cycle collector off, then turns it
+    back on only if it was on at entry."""
+
+    @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+    def collecting(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    @staticmethod
+    def use_handler(monkeypatch, handler):
+        help_line, _, options = COMMANDS["validate"]
+        monkeypatch.setitem(COMMANDS, "validate", (help_line, handler, options))
+
+    def test_the_handler_runs_with_the_collector_off(self, monkeypatch, collecting):
+        seen = []
+
+        def handler(args):
+            seen.append(gc.isenabled())
+            return 0
+
+        self.use_handler(monkeypatch, handler)
+        assert main(["validate"]) == 0
+        assert seen == [False]
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("code", list(EXIT_RUNS))
+    def test_each_exit_code_restores_the_collector(self, p2_dir, capsys, collecting, code):
+        (p2_dir / "overlap.json").write_text(
+            '{"rank": 2, "rays": [[1, 0], [0, 1], [1, 1]], "max_cones": [[0, 1], [0, 2]]}',
+            encoding="utf-8",
+        )
+        (p2_dir / "nonsmooth.json").write_text(NONSMOOTH_JSON, encoding="utf-8")
+        (p2_dir / "f1.json").write_text(fan_to_json(fan_hirzebruch(1)), encoding="utf-8")
+        assert main(EXIT_RUNS[code]) == code
+        assert gc.isenabled() is collecting
+        capsys.readouterr()
+
+    def test_a_traceback_restores_the_collector(self, monkeypatch, collecting):
+        def handler(args):
+            raise RuntimeError("stray")
+
+        self.use_handler(monkeypatch, handler)
+        with pytest.raises(RuntimeError, match="stray"):
+            main(["validate"])
+        assert gc.isenabled() is collecting
+
 
 # Inputs that once escaped the exit-code contract as tracebacks with exit 1.
 DEEP_JSON = b"[" * 100_000 + b"]" * 100_000

@@ -52,7 +52,7 @@ from toricflex.fans import (
 )
 from toricflex.jsonfmt import compact_json
 
-from oracles import change_basis, greedy_added_rays, unimodular_bases
+from oracles import change_basis, cycles_in_round_trip, greedy_added_rays, unimodular_bases
 
 
 def skew_fan():
@@ -339,6 +339,26 @@ class TestVerifyMutations:
             f"{tag}: face (5,) is not a face of the extended cone",
             f"{tag}: complement face (5,) has codimension 1, below the required 2",
         )
+
+    def test_listed_face_with_rays_out_of_order(self):
+        # Chart 0 of punctured A^3 removes (0, 1) first; listed as [1, 0] it
+        # is that face with its rays out of order, and (0, 1) goes unlisted.
+        def change(doc):
+            doc["charts"][0]["complement_faces"][0][0] = [1, 0]
+
+        passed, findings = mutated(fan_punctured_affine(3), change)
+        tag = "chart for maximal cone 0"
+        assert findings == (
+            f"{tag}: face (0, 1) of the extended cone unaccounted",
+            f"{tag}: face (1, 0) lists the rays of face (0, 1) out of order",
+        )
+
+    def test_listed_face_repeating_a_ray(self):
+        def change(doc):
+            doc["charts"][0]["complement_faces"].append([[0, 0], 2])
+
+        passed, findings = mutated(fan_punctured_affine(3), change)
+        assert findings == ("chart for maximal cone 0: face (0, 0) repeats a ray",)
 
     def test_wrong_face_codimension(self):
         def change(doc):
@@ -744,6 +764,17 @@ class TestMatricesCheckedAtTheBoundary:
         # recomputed report is smooth, so no cone is tested again.
         # validate_fan 32 + build_cover (32 + 32) + verify (32 + 32) = 160.
         assert self.constructions(monkeypatch, fan_punctured_affine(8)) == 160
+
+
+@pytest.mark.parametrize(
+    "f",
+    [fan_punctured_affine(8), fan_projective_space(4), fan_hirzebruch(2)],
+    ids=["punctured A^8", "P^4", "F_2"],
+)
+def test_the_data_path_leaves_no_reference_cycles(f):
+    # The CLI pauses the cycle collector while a command runs; this is
+    # what makes that safe.  Skeleton fans are checked in test_skeletons.py.
+    assert cycles_in_round_trip(f) == 0
 
 
 class IntSubclass(int):

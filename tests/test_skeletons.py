@@ -32,6 +32,7 @@ from toricflex.intlinalg import IntMatrix, det
 from oracles import (
     change_basis,
     complete_by_facet_pairing,
+    cycles_in_round_trip,
     greedy_added_rays,
     pair_scan_diagnostics,
     unimodular_bases,
@@ -122,6 +123,12 @@ def test_chart_extension_matches_greedy_scan(drawn):
     fan = drawn[2]
     for i in range(len(fan.max_cones)):
         assert _chart(fan, i).added_ray_indices == greedy_added_rays(fan, i)
+
+
+@settings(deadline=None, max_examples=10)
+@given(drawn=skeleton_fans())
+def test_skeleta_leave_no_reference_cycles(drawn):
+    assert cycles_in_round_trip(drawn[2]) == 0
 
 
 # Counted on the fans as built, without a change of basis, which can move
