@@ -77,7 +77,8 @@ def quotient_group(f: "Fan", cone) -> QuotientGroup:
 
     Requires a full-dimensional cone.  The order comes from a fraction-free
     determinant and the factor list from Smith reduction; the two routes
-    stay separate so they can cross-check each other.
+    stay separate so they can cross-check each other.  The factors multiply
+    to the order, so a unimodular cone has none and skips the reduction.
     """
     gens = _generators(f, cone)
     n = f.ambient_rank
@@ -91,5 +92,5 @@ def quotient_group(f: "Fan", cone) -> QuotientGroup:
         raise NotFullDimensionalError(
             f"cone {tuple(cone)} has rationally dependent rays"
         )
-    factors = tuple(x for x in snf(m).invariant_factors if x > 1)
+    factors = () if abs(d) == 1 else tuple(x for x in snf(m).invariant_factors if x > 1)
     return QuotientGroup(invariant_factors=factors, order=abs(d))

@@ -16,7 +16,6 @@ text of the same document, indented or not.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from itertools import chain, combinations
 
@@ -35,6 +34,9 @@ from .fans import (
 )
 from .intlinalg import _bareiss, is_int
 from .jsonfmt import compact_json, json_object, load_json
+
+# The faces a chart removes, each with its codimension.
+Complement = tuple[tuple[Cone, int], ...]
 
 KIND_AFFINE_SPACE = "AffineSpace"
 KIND_FLEXIBLE_COMPLEMENT = "FlexibleComplement"
@@ -74,7 +76,7 @@ class ChartCertificate:
     added_ray_indices: tuple[int, ...]
     cprime_ray_indices: tuple[int, ...]
     quotient: QuotientGroup
-    complement_faces: tuple[tuple[Cone, int], ...]
+    complement_faces: Complement
     min_complement_codim: int
 
 
@@ -99,22 +101,33 @@ class VerificationReport:
     findings: tuple[str, ...]
 
 
-def _removed_faces(cprime: Cone, cone: Cone) -> Iterator[tuple[Cone, int]]:
+def _removed_faces(cprime: Cone, cone: Cone, shared: dict | None = None) -> Complement:
     # The complement rule.  A chart keeps the faces of the cone, each added
     # ray alone and the zero face.  Every face with at most one ray is one
     # of those, so the chart removes the faces of cprime with two or more
     # rays that are not faces of the cone, each of codimension its size.
     # cprime is sorted, so the faces come by size, then lexicographically.
+    # shared maps each extended cone to all of its (face, size) pairs with
+    # two or more rays.  It lives for one build or verify call, so every
+    # chart of that call with the same extended cone lists the same pair
+    # objects; a cone of at most one ray keeps none of them and lists the
+    # shared tuple itself.
+    if shared is None:
+        shared = {}
+    pairs = shared.get(cprime)
+    if pairs is None:
+        pairs = shared[cprime] = tuple(
+            (face, size)
+            for size in range(2, len(cprime) + 1)
+            for face in combinations(cprime, size)
+        )
+    if len(cone) <= 1:
+        return pairs
     kept = set(cone)
-    return (
-        (face, size)
-        for size in range(2, len(cprime) + 1)
-        for face in combinations(cprime, size)
-        if not kept.issuperset(face)
-    )
+    return tuple([pair for pair in pairs if not kept.issuperset(pair[0])])
 
 
-def _chart(f: Fan, cone_index: int) -> ChartCertificate:
+def _chart(f: Fan, cone_index: int, shared: dict | None = None) -> ChartCertificate:
     # The chart of one maximal cone of a valid, smooth, nondegenerate fan,
     # as build_cover knows it from the fan report.  It adds each fan ray, in
     # canonical order, that enlarges the span of the cone and the rays added
@@ -123,6 +136,7 @@ def _chart(f: Fan, cone_index: int) -> ChartCertificate:
     # column is one independent of the columns before it.  The fan rays
     # span, so the pivots reach rank n.  A full-dimensional cone adds none
     # and gives an AffineSpace chart: trivial quotient, empty complement.
+    # shared is build_cover's memo of complement faces, see _removed_faces.
     c = f.max_cones[cone_index]
     n, k = f.ambient_rank, len(c)
     added: tuple[int, ...] = ()
@@ -132,7 +146,7 @@ def _chart(f: Fan, cone_index: int) -> ChartCertificate:
 
     cprime = tuple(sorted(set(c) | set(added)))
     # Guarded: on an affine chart the rule would try all 2^n subsets of the cone.
-    complement = tuple(_removed_faces(cprime, c)) if added else ()
+    complement = _removed_faces(cprime, c, shared) if added else ()
     return ChartCertificate(
         cone_index=cone_index,
         kind=KIND_FLEXIBLE_COMPLEMENT if added else KIND_AFFINE_SPACE,
@@ -142,7 +156,7 @@ def _chart(f: Fan, cone_index: int) -> ChartCertificate:
         cprime_ray_indices=cprime,
         quotient=quotient_group(f, cprime) if added else QuotientGroup((), 1),
         complement_faces=complement,
-        # _removed_faces yields the faces by size, so the first is a smallest.
+        # _removed_faces lists the faces by size, so the first is a smallest.
         min_complement_codim=complement[0][1] if complement else n + 1,
     )
 
@@ -158,7 +172,8 @@ def build_cover(f: Fan) -> CoverCertificate:
     report = validate_fan(f)
     for failure in _hypothesis_failures(f, report):
         raise failure
-    charts = tuple(_chart(f, i) for i in range(len(f.max_cones)))
+    shared: dict = {}
+    charts = tuple(_chart(f, i, shared) for i in range(len(f.max_cones)))
     return CoverCertificate(
         format_version=FORMAT_VERSION,
         digest_algorithm=DIGEST_ALGORITHM,
@@ -170,11 +185,12 @@ def build_cover(f: Fan) -> CoverCertificate:
     )
 
 
-def _chart_findings(f: Fan, ch: ChartCertificate, smooth: bool) -> list[str]:
+def _chart_findings(f: Fan, ch: ChartCertificate, smooth: bool, shared: dict) -> list[str]:
     """Re-derive one chart from the fan and list every disagreement.
 
     smooth is the recomputed report's verdict: when every maximal cone is
-    smooth, no cone needs testing again.
+    smooth, no cone needs testing again.  shared is the verifier's own memo
+    of complement faces, see _removed_faces.
     """
     out: list[str] = []
     c = f.max_cones[ch.cone_index]
@@ -251,7 +267,7 @@ def _chart_findings(f: Fan, ch: ChartCertificate, smooth: bool) -> list[str]:
         out.append(f"{tag}: extended cone generators are rationally dependent")
         return out
 
-    expected = tuple(_removed_faces(cprime, c))
+    expected = _removed_faces(cprime, c, shared)
     # A list equal to the expected one, in the same order, passes every
     # per-face check below: the expected faces are distinct, each has at
     # least two rays, and each codimension is the face's size.  So the
@@ -383,9 +399,10 @@ def verify_certificate(f: Fan, cert: CoverCertificate) -> VerificationReport:
         if idx not in valid_indices:
             findings.append(f"chart names nonexistent maximal cone {idx!r}")
 
+    shared: dict = {}
     for ch in cert.charts:
         if ch.cone_index in valid_indices:
-            findings.extend(_chart_findings(f, ch, actual_report.smooth))
+            findings.extend(_chart_findings(f, ch, actual_report.smooth, shared))
 
     expected_a = all(len(c) == f.ambient_rank for c in f.max_cones)
     if cert.a_covered != expected_a:
@@ -397,7 +414,8 @@ def verify_certificate(f: Fan, cert: CoverCertificate) -> VerificationReport:
     return VerificationReport(passed=not findings, findings=tuple(findings))
 
 
-def _chart_to_dict(ch: ChartCertificate) -> dict:
+def _chart_to_dict(ch: ChartCertificate, fresh: bool) -> dict:
+    faces = ch.complement_faces
     return {
         "cone_index": ch.cone_index,
         "kind": ch.kind,
@@ -409,21 +427,30 @@ def _chart_to_dict(ch: ChartCertificate) -> dict:
             "invariant_factors": list(ch.quotient.invariant_factors),
             "order": ch.quotient.order,
         },
-        "complement_faces": [[list(face), codim] for face, codim in ch.complement_faces],
+        "complement_faces": [[list(face), codim] for face, codim in faces] if fresh else faces,
         "min_complement_codim": ch.min_complement_codim,
     }
 
 
-def certificate_to_dict(cert: CoverCertificate) -> dict:
+def _certificate_doc(cert: CoverCertificate, fresh: bool) -> dict:
+    # fresh copies the complement faces into new lists.  Otherwise they stay
+    # the charts' own tuples, shared between charts, which json writes as
+    # arrays: the same bytes without a copy of every face.
     return {
         "format_version": cert.format_version,
         "digest_algorithm": cert.digest_algorithm,
         "fan_digest": cert.fan_digest,
         "citations": list(cert.citations),
         "report": report_to_dict(cert.report),
-        "charts": [_chart_to_dict(ch) for ch in cert.charts],
+        "charts": [_chart_to_dict(ch, fresh) for ch in cert.charts],
         "a_covered": cert.a_covered,
     }
+
+
+def certificate_to_dict(cert: CoverCertificate) -> dict:
+    """The certificate as a JSON document of new dicts and lists, which the
+    caller may edit."""
+    return _certificate_doc(cert, fresh=True)
 
 
 def _require_int(doc: dict, key: str, where: str) -> int:
@@ -440,7 +467,7 @@ def _require_int_list(doc: dict, key: str, where: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _chart_from_dict(doc, position: int) -> ChartCertificate:
+def _chart_from_dict(doc, position: int, interned: dict) -> ChartCertificate:
     where = f"chart {position}"
     json_object(doc, [f.name for f in fields(ChartCertificate)], CertificateFormatError, where)
     if not isinstance(doc["kind"], str):
@@ -464,32 +491,30 @@ def _chart_from_dict(doc, position: int) -> ChartCertificate:
             invariant_factors=_require_int_list(quotient, "invariant_factors", where),
             order=_require_int(quotient, "order", where),
         ),
-        complement_faces=_complement_from_list(faces, where),
+        complement_faces=_complement_from_list(faces, where, interned),
         min_complement_codim=_require_int(doc, "min_complement_codim", where),
     )
 
 
-def face_pairs(o: list) -> bool:
-    """Whether each entry of a list of lists is a complement-face pair:
-    a two-item list of a nonempty list of plain ints, then a plain int."""
-    if set(map(len, o)) != {2}:
-        return False
-    faces = [entry[0] for entry in o]
-    return (
-        set(map(type, faces)) == {list}
-        and all(faces)
-        and set(map(type, [entry[1] for entry in o])) == {int}
-        and set(map(type, chain.from_iterable(faces))) <= {int}
-    )
-
-
-def _complement_from_list(faces: list, where: str) -> tuple[tuple[Cone, int], ...]:
-    # The usual document, a list of face pairs as build_cover makes them,
-    # is accepted by one scan by type.  Any other document takes the per-entry
-    # check, which decides acceptance (bools are refused; an empty face and
-    # int or list subclasses are accepted) and the message.
-    if set(map(type, faces)) == {list} and face_pairs(faces):
-        return tuple([(tuple(face), codim) for face, codim in faces])
+def _complement_from_list(faces: list, where: str, interned: dict) -> Complement:
+    # The usual document, a list of face pairs as build_cover makes them, is
+    # accepted by scans by type: each entry a two-item list, each face a
+    # nonempty list of plain ints, each codim a plain int.  Its pairs are
+    # interned across the charts of one document, so that equal pairs are
+    # one object, as in build_cover.  Any other document takes the per-entry check,
+    # which decides acceptance (bools are refused; an empty face and int or
+    # list subclasses are accepted) and the message; its pairs are not
+    # interned, since an equal pair may hold other int types.
+    if set(map(type, faces)) == {list} and set(map(len, faces)) == {2}:
+        rays, codims = zip(*faces)
+        if (
+            set(map(type, rays)) == {list}
+            and all(rays)
+            and set(map(type, codims)) == {int}
+            and set(map(type, chain.from_iterable(rays))) <= {int}
+        ):
+            pairs = list(zip(map(tuple, rays), codims))
+            return tuple(map(interned.setdefault, pairs, pairs))
     parsed = []
     for entry in faces:
         if (
@@ -531,13 +556,14 @@ def certificate_from_dict(doc) -> CoverCertificate:
         report = report_from_dict(doc["report"])
     except FanFormatError as exc:
         raise CertificateFormatError(f"report: {exc}") from exc
+    interned: dict = {}
     return CoverCertificate(
         format_version=_require_int(doc, "format_version", "certificate"),
         digest_algorithm=doc["digest_algorithm"],
         fan_digest=doc["fan_digest"],
         citations=tuple(citations),
         report=report,
-        charts=tuple(_chart_from_dict(ch, i) for i, ch in enumerate(charts)),
+        charts=tuple(_chart_from_dict(ch, i, interned) for i, ch in enumerate(charts)),
         a_covered=doc["a_covered"],
     )
 
@@ -546,7 +572,7 @@ def certificate_to_json(cert: CoverCertificate) -> str:
     """One line of compact, key-sorted JSON; CertificateFormatError if a
     number is too long to write."""
     try:
-        return compact_json(certificate_to_dict(cert)) + "\n"
+        return compact_json(_certificate_doc(cert, fresh=False)) + "\n"
     except ValueError as exc:
         raise CertificateFormatError(f"certificate cannot be written as JSON: {exc}") from exc
 

@@ -213,9 +213,13 @@ def _fraction_free_step(row: list[int], pivot_row: list[int], col: int, start: i
     With p = pivot_row[col], each entry becomes (p * row[j] - row[col] *
     pivot_row[j]) / prev, prev the previous pivot.  Sylvester's identity
     makes the division exact; every elimination in this module takes its
-    steps here, so this is the one place that asserts it.
+    steps here, so this is the one place that asserts it.  When row[col]
+    is 0 and p equals prev, each entry becomes p * row[j] / prev = row[j],
+    so that step returns at once.
     """
     p, f = pivot_row[col], row[col]
+    if f == 0 and p == prev:
+        return
     for j in range(start, len(row)):
         q, rem = divmod(p * row[j] - f * pivot_row[j], prev)
         if rem:
@@ -369,10 +373,12 @@ def extends_to_z_basis(vectors, ambient_rank: int) -> bool:
     """Whether the given integer vectors extend to a basis of the full lattice.
 
     True exactly when the vectors are independent and the lattice they span
-    is saturated, i.e. every Smith invariant factor equals 1.  For as many
-    vectors as the ambient rank the product of those factors is |det|, so
-    one fraction-free elimination decides it; fewer vectors take the Smith
-    normal form.
+    is saturated, i.e. every Smith invariant factor equals 1.  One
+    fraction-free elimination finds the rank k and D, the absolute k x k
+    minor on the pivot columns.  The product of the factors divides every
+    k x k minor, so D = 1 settles the answer as True; for as many vectors as
+    the ambient rank that product is D, so D decides.  Otherwise fewer
+    vectors take the Smith normal form.
     """
     vecs = tuple(tuple(row) for row in vectors)
     for vec in vecs:
@@ -385,9 +391,11 @@ def extends_to_z_basis(vectors, ambient_rank: int) -> bool:
     if len(vecs) > ambient_rank:
         return False
     m = IntMatrix.from_rows(vecs)
+    pivots, minor = _bareiss(m.entries)
+    if len(pivots) < len(vecs):
+        return False
+    if abs(minor) == 1:
+        return True
     if len(vecs) == ambient_rank:
-        return abs(det(m)) == 1
-    res = snf(m)
-    return len(res.invariant_factors) == len(vecs) and all(
-        f == 1 for f in res.invariant_factors
-    )
+        return False
+    return all(f == 1 for f in snf(m).invariant_factors)

@@ -757,13 +757,42 @@ class TestMatricesCheckedAtTheBoundary:
         # Punctured A^8 has eight one-ray cones.  Each validate_fan decides
         # its 28 pairs by the rank pretest on rows and builds no matrix for
         # torus_factor_rank; is_smooth_fan asks extends_to_z_basis about
-        # each cone, 1 vector in rank 8, which builds one IntMatrix and the
-        # three of snf (u, d, v): 8 * 4 = 32.  Each chart's quotient_group
-        # builds one IntMatrix and snf's three, det none: 8 * 4 = 32.  The
-        # verifier's rank test of each extended cone takes rows, and the
-        # recomputed report is smooth, so no cone is tested again.
-        # validate_fan 32 + build_cover (32 + 32) + verify (32 + 32) = 160.
-        assert self.constructions(monkeypatch, fan_punctured_affine(8)) == 160
+        # each cone, 1 vector in rank 8, which builds one IntMatrix.  Its
+        # 1 x 1 minor on the pivot column is 1, so snf is not called:
+        # 8 * 1 = 8.  Each chart's quotient_group builds one IntMatrix, and
+        # the extended cone, all eight unit vectors, has |det| = 1, so snf
+        # is not called either: 8 * 1 = 8.  The verifier's rank test of each
+        # extended cone takes rows, and the recomputed report is smooth, so
+        # no cone is tested again.
+        # validate_fan 8 + build_cover (8 + 8) + verify (8 + 8) = 40.
+        assert self.constructions(monkeypatch, fan_punctured_affine(8)) == 40
+
+
+def distinct_pairs(cert) -> set[int]:
+    """The ids of the (face, codim) objects across all charts of a certificate."""
+    return {id(pair) for ch in cert.charts for pair in ch.complement_faces}
+
+
+class TestSharedComplement:
+    """All eight charts of punctured A^8 remove the same 2^8 - 8 - 1 = 247
+    faces, and each of them is one object, in the builder and in the reader."""
+
+    def test_build_cover_shares_each_pair(self):
+        cert = build_cover(fan_punctured_affine(8))
+        assert sum(len(ch.complement_faces) for ch in cert.charts) == 8 * 247
+        assert len(distinct_pairs(cert)) == 247
+
+    def test_reader_interns_each_pair(self):
+        cert = certificate_from_json(certificate_to_json(build_cover(fan_punctured_affine(8))))
+        assert sum(len(ch.complement_faces) for ch in cert.charts) == 8 * 247
+        assert len(distinct_pairs(cert)) == 247
+
+    def test_two_builds_share_nothing(self):
+        # The memo lives for one call: no cache outlives it.
+        f = fan_punctured_affine(8)
+        first, second = build_cover(f), build_cover(f)
+        assert first == second
+        assert distinct_pairs(first).isdisjoint(distinct_pairs(second))
 
 
 @pytest.mark.parametrize(

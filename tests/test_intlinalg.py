@@ -8,15 +8,18 @@ own homework.
 
 import math
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from toricflex import intlinalg
 from toricflex.errors import DimensionMismatchError, NonSquareError, ZeroVectorError
 from toricflex.intlinalg import (
     IntMatrix,
     _bareiss,
+    _fraction_free_step,
     _scaled_dual_basis,
     det,
     extends_to_z_basis,
@@ -317,6 +320,42 @@ class TestBareissPivots:
         assert len(pivots) == rank(m)
 
 
+@st.composite
+def fraction_free_steps(draw):
+    """(row, pivot_row, col, start, prev) for one Bareiss update.
+
+    prev ranges over nonzero ints beyond +-1, so most steps do not divide
+    exactly; half the time row[col] is 0 and pivot_row[col] is prev, the
+    step that changes nothing.
+    """
+    width = draw(st.integers(1, 6))
+    entry = st.integers(-12, 12)
+    row = draw(st.lists(entry, min_size=width, max_size=width))
+    pivot_row = draw(st.lists(entry, min_size=width, max_size=width))
+    col = draw(st.integers(0, width - 1))
+    start = draw(st.integers(0, width))
+    prev = draw(st.integers(-6, 6).filter(bool))
+    if draw(st.booleans()):
+        row[col], pivot_row[col] = 0, prev
+    return row, pivot_row, col, start, prev
+
+
+class TestFractionFreeStep:
+    @settings(max_examples=400)
+    @given(fraction_free_steps())
+    def test_matches_the_full_formula(self, case):
+        row, pivot_row, col, start, prev = case
+        p, f = pivot_row[col], row[col]
+        numerators = [p * row[j] - f * pivot_row[j] for j in range(start, len(row))]
+        got = list(row)
+        if any(x % prev for x in numerators):
+            with pytest.raises(AssertionError, match="lost exactness"):
+                _fraction_free_step(got, pivot_row, col, start, prev)
+            return
+        _fraction_free_step(got, pivot_row, col, start, prev)
+        assert got == row[:start] + [x // prev for x in numerators]
+
+
 class TestKernel:
     def test_examples(self):
         assert kernel_basis(IntMatrix.from_rows([[1, 2]])) == ((-2, 1),)
@@ -465,6 +504,30 @@ class TestExtendsToZBasis:
             assert got is True
         elif kind != "random" and len(rows) == n:
             assert got is False
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                    min_size=1,
+                    max_size=n - 1,
+                ),
+                st.just(n),
+            )
+        )
+    )
+    def test_full_row_rank_matches_snf(self, case):
+        # k < n independent vectors: a unit minor on Bareiss's pivot columns
+        # decides True without snf; any other minor falls back to snf.
+        rows, n = case
+        assume(rank(IntMatrix.from_rows(rows)) == len(rows))
+        with mock.patch.object(intlinalg, "snf", wraps=snf) as spy:
+            got = extends_to_z_basis(rows, n)
+        assert got is snf_extends_to_z_basis(rows, n)
+        _, minor = _bareiss(rows)
+        assert spy.call_count == (abs(minor) != 1)
 
     def test_too_many_vectors(self):
         assert extends_to_z_basis([(1, 0), (0, 1), (1, 1)], 2) is False
