@@ -7,13 +7,9 @@ indices.  They never mutate the fan and never leave integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import BadIndexError, DimensionMismatchError, NotFullDimensionalError
 from .intlinalg import IntMatrix, Vector, det, is_int, positive_circuit, snf
-
-if TYPE_CHECKING:
-    from .fans import Fan
 
 Cone = tuple[int, ...]
 

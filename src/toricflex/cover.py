@@ -414,8 +414,7 @@ def verify_certificate(f: Fan, cert: CoverCertificate) -> VerificationReport:
     return VerificationReport(passed=not findings, findings=tuple(findings))
 
 
-def _chart_to_dict(ch: ChartCertificate, fresh: bool) -> dict:
-    faces = ch.complement_faces
+def _chart_to_dict(ch: ChartCertificate) -> dict:
     return {
         "cone_index": ch.cone_index,
         "kind": ch.kind,
@@ -427,22 +426,21 @@ def _chart_to_dict(ch: ChartCertificate, fresh: bool) -> dict:
             "invariant_factors": list(ch.quotient.invariant_factors),
             "order": ch.quotient.order,
         },
-        "complement_faces": [[list(face), codim] for face, codim in faces] if fresh else faces,
+        "complement_faces": [],
         "min_complement_codim": ch.min_complement_codim,
     }
 
 
-def _certificate_doc(cert: CoverCertificate, fresh: bool) -> dict:
-    # fresh copies the complement faces into new lists.  Otherwise they stay
-    # the charts' own tuples, shared between charts, which json writes as
-    # arrays: the same bytes without a copy of every face.
+def _certificate_doc(cert: CoverCertificate) -> dict:
+    # Every chart's complement_faces is left empty: certificate_to_dict
+    # fills in copies, certificate_to_json writes each shared list once.
     return {
         "format_version": cert.format_version,
         "digest_algorithm": cert.digest_algorithm,
         "fan_digest": cert.fan_digest,
         "citations": list(cert.citations),
         "report": report_to_dict(cert.report),
-        "charts": [_chart_to_dict(ch, fresh) for ch in cert.charts],
+        "charts": [_chart_to_dict(ch) for ch in cert.charts],
         "a_covered": cert.a_covered,
     }
 
@@ -450,7 +448,10 @@ def _certificate_doc(cert: CoverCertificate, fresh: bool) -> dict:
 def certificate_to_dict(cert: CoverCertificate) -> dict:
     """The certificate as a JSON document of new dicts and lists, which the
     caller may edit."""
-    return _certificate_doc(cert, fresh=True)
+    doc = _certificate_doc(cert)
+    for chart, ch in zip(doc["charts"], cert.charts):
+        chart["complement_faces"] = [[list(face), codim] for face, codim in ch.complement_faces]
+    return doc
 
 
 def _require_int(doc: dict, key: str, where: str) -> int:
@@ -571,8 +572,29 @@ def certificate_from_dict(doc) -> CoverCertificate:
 def certificate_to_json(cert: CoverCertificate) -> str:
     """One line of compact, key-sorted JSON; CertificateFormatError if a
     number is too long to write."""
+    # The text of compact_json(certificate_to_dict(cert)) + "\n", with each
+    # distinct complement tuple encoded once: the charts of one extended
+    # cone share one tuple.  The document is encoded with every complement
+    # empty and split at those keys.  The split is exact: compact stdlib
+    # JSON writes each " inside a string as \", so an unescaped
+    # "complement_faces": can only be a key, and every key in a certificate
+    # document is a fixed name, this one a chart's.  Only a field holding a
+    # dict in place of its declared type could add a key; zip's strict
+    # check then refuses the certificate rather than misplace a list.  The
+    # memo is keyed by id(); cert keeps each tuple alive for the whole call.
+    empty = '"complement_faces":[]'
     try:
-        return compact_json(_certificate_doc(cert, fresh=False)) + "\n"
+        head, *tails = compact_json(_certificate_doc(cert)).split(empty)
+        encoded: dict[int, str] = {}
+        pieces = [head]
+        for ch, tail in zip(cert.charts, tails, strict=True):
+            faces = ch.complement_faces
+            text = encoded.get(id(faces))
+            if text is None:
+                text = encoded[id(faces)] = compact_json(faces)
+            pieces += ('"complement_faces":', text, tail)
+        pieces.append("\n")
+        return "".join(pieces)
     except ValueError as exc:
         raise CertificateFormatError(f"certificate cannot be written as JSON: {exc}") from exc
 

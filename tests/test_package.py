@@ -3,6 +3,8 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,6 +96,20 @@ def test_no_unused_imports():
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert sorted(imported_names(tree) - used_names(tree)) == [], path.name
+
+
+def test_cli_import_leaves_typing_unloaded():
+    # A fresh interpreter, as a toricflex call starts.  -S keeps site out,
+    # since on some versions site imports typing by itself.
+    src = str(Path(toricflex.__file__).resolve().parent.parent)
+    code = "import sys; import toricflex.cli; print('typing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "False\n"
 
 
 def imported_modules(tree: ast.Module) -> set[str]:
