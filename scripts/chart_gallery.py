@@ -40,7 +40,7 @@ def describe(name: str, fan: Fan) -> None:
         cone_rays = [fan.rays[i] for i in cone]
         print(f"  chart {ch.cone_index}: cone {cone} with rays {cone_rays}")
         if ch.kind == KIND_AFFINE_SPACE:
-            print(f"    affine {ch.n}-space, nothing to remove")
+            print(f"    affine {fan.ambient_rank}-space, nothing to remove")
             continue
         added_rays = [fan.rays[i] for i in ch.added_ray_indices]
         print(f"    extended by rays {list(ch.added_ray_indices)} = {added_rays}")

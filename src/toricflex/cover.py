@@ -20,16 +20,13 @@ from dataclasses import dataclass, fields
 from itertools import chain, combinations
 
 from .conegeom import Cone, QuotientGroup, quotient_group
-from .errors import CertificateFormatError, FanFormatError
+from .errors import CertificateFormatError
 from .fans import (
     HYPOTHESIS_PREFIX,
     Fan,
-    FanReport,
     _hypothesis_failures,
     fan_digest,
     is_smooth_cone,
-    report_from_dict,
-    report_to_dict,
     validate_fan,
 )
 from .intlinalg import _bareiss, is_int
@@ -40,7 +37,7 @@ Complement = tuple[tuple[Cone, int], ...]
 
 KIND_AFFINE_SPACE = "AffineSpace"
 KIND_FLEXIBLE_COMPLEMENT = "FlexibleComplement"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DIGEST_ALGORITHM = "sha256"
 
 # The two published results the certificate leans on; the verifier checks
@@ -58,8 +55,9 @@ CITATIONS = (
 class ChartCertificate:
     """Chart record for one maximal cone.
 
-    k is the cone's dimension and n the ambient rank; the chart before any
-    extension is a product of k affine lines and n - k tori.  For kind
+    With k the cone's dimension and n the fan's ambient rank, the chart
+    before any extension is a product of k affine lines and n - k tori;
+    neither number is stored, since the fan gives both.  For kind
     FlexibleComplement, cprime_ray_indices lists the n rays of the extended
     cone (the cone's own rays plus added_ray_indices), quotient describes
     the lattice quotient by the extended cone's generators, and
@@ -71,8 +69,6 @@ class ChartCertificate:
 
     cone_index: int
     kind: str
-    k: int
-    n: int
     added_ray_indices: tuple[int, ...]
     cprime_ray_indices: tuple[int, ...]
     quotient: QuotientGroup
@@ -82,13 +78,15 @@ class ChartCertificate:
 
 @dataclass(frozen=True)
 class CoverCertificate:
-    """One chart per maximal cone, plus fan identity and hypothesis report."""
+    """One chart per maximal cone, plus fan identity.
+
+    The fan report is not stored: the verifier recomputes it from the fan.
+    """
 
     format_version: int
     digest_algorithm: str
     fan_digest: str
     citations: tuple[str, ...]
-    report: FanReport
     charts: tuple[ChartCertificate, ...]
     a_covered: bool
 
@@ -150,8 +148,6 @@ def _chart(f: Fan, cone_index: int, shared: dict | None = None) -> ChartCertific
     return ChartCertificate(
         cone_index=cone_index,
         kind=KIND_FLEXIBLE_COMPLEMENT if added else KIND_AFFINE_SPACE,
-        k=k,
-        n=n,
         added_ray_indices=added,
         cprime_ray_indices=cprime,
         quotient=quotient_group(f, cprime) if added else QuotientGroup((), 1),
@@ -169,8 +165,7 @@ def build_cover(f: Fan) -> CoverCertificate:
     Charts are listed in maximal-cone index order, so the certificate is
     byte-stable across runs.
     """
-    report = validate_fan(f)
-    for failure in _hypothesis_failures(f, report):
+    for failure in _hypothesis_failures(f, validate_fan(f)):
         raise failure
     shared: dict = {}
     charts = tuple(_chart(f, i, shared) for i in range(len(f.max_cones)))
@@ -179,7 +174,6 @@ def build_cover(f: Fan) -> CoverCertificate:
         digest_algorithm=DIGEST_ALGORITHM,
         fan_digest=fan_digest(f),
         citations=CITATIONS,
-        report=report,
         charts=charts,
         a_covered=all(ch.kind == KIND_AFFINE_SPACE for ch in charts),
     )
@@ -197,10 +191,6 @@ def _chart_findings(f: Fan, ch: ChartCertificate, smooth: bool, shared: dict) ->
     n = f.ambient_rank
     k = len(c)
     tag = f"chart for maximal cone {ch.cone_index}"
-    if ch.n != n:
-        out.append(f"{tag}: n = {ch.n}, fan ambient rank is {n}")
-    if ch.k != k:
-        out.append(f"{tag}: k = {ch.k}, maximal cone {c} has {k} rays")
     expected_kind = KIND_AFFINE_SPACE if k == n else KIND_FLEXIBLE_COMPLEMENT
     if ch.kind != expected_kind:
         out.append(
@@ -376,14 +366,6 @@ def verify_certificate(f: Fan, cert: CoverCertificate) -> VerificationReport:
         findings.append("citations do not match the two required theorem statements")
 
     actual_report = validate_fan(f)
-    if cert.report != actual_report:
-        stored, recomputed = report_to_dict(cert.report), report_to_dict(actual_report)
-        for key in recomputed:
-            if stored[key] != recomputed[key]:
-                findings.append(
-                    f"report field {key}: certificate says {stored[key]!r}, "
-                    f"recomputation gives {recomputed[key]!r}"
-                )
     findings.extend(
         f"{HYPOTHESIS_PREFIX}{failure}" for failure in _hypothesis_failures(f, actual_report)
     )
@@ -418,8 +400,6 @@ def _chart_to_dict(ch: ChartCertificate) -> dict:
     return {
         "cone_index": ch.cone_index,
         "kind": ch.kind,
-        "k": ch.k,
-        "n": ch.n,
         "added_ray_indices": list(ch.added_ray_indices),
         "cprime_ray_indices": list(ch.cprime_ray_indices),
         "quotient": {
@@ -439,7 +419,6 @@ def _certificate_doc(cert: CoverCertificate) -> dict:
         "digest_algorithm": cert.digest_algorithm,
         "fan_digest": cert.fan_digest,
         "citations": list(cert.citations),
-        "report": report_to_dict(cert.report),
         "charts": [_chart_to_dict(ch) for ch in cert.charts],
         "a_covered": cert.a_covered,
     }
@@ -484,8 +463,6 @@ def _chart_from_dict(doc, position: int, interned: dict) -> ChartCertificate:
     return ChartCertificate(
         cone_index=_require_int(doc, "cone_index", where),
         kind=doc["kind"],
-        k=_require_int(doc, "k", where),
-        n=_require_int(doc, "n", where),
         added_ray_indices=_require_int_list(doc, "added_ray_indices", where),
         cprime_ray_indices=_require_int_list(doc, "cprime_ray_indices", where),
         quotient=QuotientGroup(
@@ -553,17 +530,12 @@ def certificate_from_dict(doc) -> CoverCertificate:
     charts = doc["charts"]
     if not isinstance(charts, list):
         raise CertificateFormatError("charts must be a list")
-    try:
-        report = report_from_dict(doc["report"])
-    except FanFormatError as exc:
-        raise CertificateFormatError(f"report: {exc}") from exc
     interned: dict = {}
     return CoverCertificate(
         format_version=_require_int(doc, "format_version", "certificate"),
         digest_algorithm=doc["digest_algorithm"],
         fan_digest=doc["fan_digest"],
         citations=tuple(citations),
-        report=report,
         charts=tuple(_chart_from_dict(ch, i, interned) for i, ch in enumerate(charts)),
         a_covered=doc["a_covered"],
     )

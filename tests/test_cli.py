@@ -175,6 +175,24 @@ class TestCoverAndVerify:
         assert "finding: maximal cone 1 uncovered" in err
         assert "verification failed with" in err
 
+    def test_verify_refuses_a_format_1_certificate(self, tmp_path, capsys):
+        # A format 2 certificate given back the fields format 1 also wrote:
+        # the fan report and each chart's k and n.  The reader ignores them,
+        # so the version is the one finding.
+        fan = fan_punctured_affine(3)
+        fan_path = write(tmp_path, "a3.json", fan_to_json(fan))
+        doc = certificate_to_dict(build_cover(fan))
+        doc["format_version"] = 1
+        doc["report"] = report_to_dict(validate_fan(fan))
+        for chart in doc["charts"]:
+            chart["k"] = len(fan.max_cones[chart["cone_index"]])
+            chart["n"] = fan.ambient_rank
+        cert_path = write(tmp_path, "v1.json", json.dumps(doc))
+        assert main(["verify", "--input", fan_path, "--cert", cert_path]) == 4
+        err = capsys.readouterr().err
+        findings = [line for line in err.splitlines() if line.startswith("toricflex: finding: ")]
+        assert findings == ["toricflex: finding: format_version is 1, this verifier handles 2"]
+
     def test_verify_malformed_certificate(self, tmp_path, capsys):
         fan_path = write(tmp_path, "p2.json", P2_JSON)
         cert_path = write(tmp_path, "shape.json", '{"format_version": 1}')

@@ -60,6 +60,11 @@ def skew_fan():
     return make_fan(2, [(1, 0), (1, 2)], [(0,), (1,)])
 
 
+def p2_one_skeleton():
+    # The three rays of P^2, each a maximal cone of its own.
+    return make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0,), (1,), (2,)])
+
+
 def mixed_fan():
     # One full quadrant plus an opposite half-line: the cover mixes kinds.
     return make_fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (2,)])
@@ -70,7 +75,6 @@ class TestBuildChart:
         f = fan_punctured_affine(2)
         ch0, ch1 = build_cover(f).charts
         assert ch0.kind == KIND_FLEXIBLE_COMPLEMENT
-        assert (ch0.k, ch0.n) == (1, 2)
         assert ch0.added_ray_indices == (1,)
         assert ch0.cprime_ray_indices == (0, 1)
         assert ch0.quotient.is_trivial
@@ -84,7 +88,6 @@ class TestBuildChart:
         f = fan_projective_space(2)
         ch = build_cover(f).charts[0]
         assert ch.kind == KIND_AFFINE_SPACE
-        assert (ch.k, ch.n) == (2, 2)
         assert ch.added_ray_indices == ()
         assert ch.cprime_ray_indices == f.max_cones[0]
         assert ch.quotient == QuotientGroup(invariant_factors=(), order=1)
@@ -420,12 +423,15 @@ class TestVerifyMutations:
         )
 
     def test_added_ray_out_of_range(self):
-        def change(doc):
-            doc["charts"][0]["added_ray_indices"] = [44]
+        # Index 3 equals the ray count of the P^2 1-skeleton, one past its last ray.
+        for fan, index in ((skew_fan(), 44), (p2_one_skeleton(), 3)):
 
-        passed, findings = mutated(skew_fan(), change)
-        assert not passed
-        assert any("added ray indices [44] are out of range" in s for s in findings)
+            def change(doc):
+                doc["charts"][0]["added_ray_indices"] = [index]
+
+            passed, findings = mutated(fan, change)
+            assert not passed
+            assert any(f"added ray indices [{index}] are out of range" in s for s in findings)
 
     def test_wrong_extended_cone(self):
         def change(doc):
@@ -438,14 +444,17 @@ class TestVerifyMutations:
         )
 
     def test_wrong_dimensions(self):
+        # Chart 0 of the P^2 1-skeleton extends its ray by both other rays:
+        # the added rays are in range, new and listed in the extended cone,
+        # but three rays exceed the ambient rank 2.
         def change(doc):
-            doc["charts"][0]["k"] = 5
-            doc["charts"][0]["n"] = 9
+            doc["charts"][0]["added_ray_indices"] = [1, 2]
+            doc["charts"][0]["cprime_ray_indices"] = [0, 1, 2]
 
-        passed, findings = mutated(skew_fan(), change)
-        assert not passed
-        assert any("k = 5" in s for s in findings)
-        assert any("n = 9, fan ambient rank is 2" in s for s in findings)
+        passed, findings = mutated(p2_one_skeleton(), change)
+        assert findings == (
+            "chart for maximal cone 0: extended cone has 3 rays, ambient rank is 2",
+        )
 
     def test_tampered_digest(self):
         def change(doc):
@@ -457,11 +466,11 @@ class TestVerifyMutations:
 
     def test_wrong_format_version(self):
         def change(doc):
-            doc["format_version"] = 2
+            doc["format_version"] = 3
 
         passed, findings = mutated(skew_fan(), change)
         assert not passed
-        assert any("format_version is 2" in s for s in findings)
+        assert any("format_version is 3" in s for s in findings)
 
     def test_wrong_digest_algorithm(self):
         def change(doc):
@@ -478,16 +487,6 @@ class TestVerifyMutations:
         passed, findings = mutated(skew_fan(), change)
         assert not passed
         assert any("citations do not match" in s for s in findings)
-
-    def test_tampered_report_field(self):
-        def change(doc):
-            doc["report"]["smooth"] = False
-
-        passed, findings = mutated(skew_fan(), change)
-        assert not passed
-        assert any(
-            "report field smooth: certificate says False" in s for s in findings
-        )
 
     def test_flipped_a_covered(self):
         def change(doc):
@@ -881,39 +880,40 @@ def complement_lists(draw):
     return faces
 
 
-# sha256 of the indented certificate of each fan, computed with the stdlib
-# encoder before the certificate writer was replaced.  Certificates are now
-# written compact and hashed after re-indenting, so the digests show that the
-# document is unchanged.  A deliberate format change updates them.
+# sha256 of the indented format 2 certificate of each fan.  Each equals the
+# digest of the format 1 document with its report, each chart's k and n
+# removed and format_version set to 2.  Certificates are written compact and
+# hashed after re-indenting, so the digests show that the document is
+# unchanged.  A deliberate format change updates them.
 GOLDEN_DIGESTS = [
     pytest.param(
         lambda: fan_projective_space(2),
-        "7d357e0d7684417439129c6ec2754190189a18bd7197528881435353a3ba2373",
+        "aba9f0d5e7bae2185f4f2bb14f67aa98b5baf165456f3ed4876a4057da7714df",
         id="P2",
     ),
     pytest.param(
         lambda: fan_hirzebruch(2),
-        "f5d9ca59a5d360af9cc08e34d873eb2b1275d5a71848a84303e3dac2de3b473c",
+        "8c3725ee3727a3e3429112753d2e4a3d44209a19f351210adea117c0a34e5174",
         id="F2",
     ),
     pytest.param(
         lambda: fan_product(fan_projective_space(1), fan_projective_space(1)),
-        "8f0d96c36388da7fd9db2eccab510ef97046bbbcde8d6fc561d63aef374c5fce",
+        "3cb72720e74f8519d92eddee40664409e813603e413e72efa55bc628647fd862",
         id="P1xP1",
     ),
     pytest.param(
         lambda: fan_product(fan_projective_space(1), fan_projective_space(3)),
-        "5751a653b49d87d1c97793fe4e24169dbb589e95777b38e4c8dd5c35ce2a303e",
+        "aa9c51bae4554075c2234d2def413454cffdebb0638a49134834bae4c8880f1c",
         id="P1xP3",
     ),
     pytest.param(
         lambda: fan_punctured_affine(3),
-        "9d1e14339b9fdb05a73b3ad0a97cc53ffee763d8a3a52a0f973e35cf57630238",
+        "ff78164dc4f407872c7bf1cf3bb81716280e6d121b4c14258d4f8b5c83672a66",
         id="A3*",
     ),
     pytest.param(
         lambda: fan_punctured_affine(8),
-        "6e9cdf5941a2b426c800e6caf6c7f0037b270afb570051bbd6dc5c5c026e5156",
+        "df93c4d9ba47424ede1ff5f70e06df999b6932af831f63774ee26bb3acb4278e",
         id="A8*",
     ),
 ]
@@ -926,29 +926,17 @@ CERTIFICATE_KEYS = (
     "digest_algorithm",
     "fan_digest",
     "citations",
-    "report",
     "charts",
     "a_covered",
 )
 CHART_KEYS = (
     "cone_index",
     "kind",
-    "k",
-    "n",
     "added_ray_indices",
     "cprime_ray_indices",
     "quotient",
     "complement_faces",
     "min_complement_codim",
-)
-REPORT_KEYS = (
-    "valid",
-    "smooth",
-    "simplicial",
-    "nondegenerate",
-    "complete",
-    "torus_factor_rank",
-    "diagnostics",
 )
 
 
@@ -982,18 +970,13 @@ class TestCertificateSerialization:
     @pytest.mark.parametrize(
         "part, key",
         [("certificate", key) for key in CERTIFICATE_KEYS]
-        + [("chart", key) for key in CHART_KEYS]
-        + [("report", key) for key in REPORT_KEYS],
+        + [("chart", key) for key in CHART_KEYS],
     )
     def test_missing_key_message(self, part, key):
         doc = certificate_to_dict(build_cover(skew_fan()))
-        target = {"certificate": doc, "chart": doc["charts"][0], "report": doc["report"]}
+        target = {"certificate": doc, "chart": doc["charts"][0]}
         del target[part][key]
-        prefix = {
-            "certificate": "certificate document",
-            "chart": "chart 0",
-            "report": "report: fan report",
-        }
+        prefix = {"certificate": "certificate document", "chart": "chart 0"}
         with pytest.raises(CertificateFormatError) as exc:
             certificate_from_dict(doc)
         assert str(exc.value) == f"{prefix[part]} is missing keys: ['{key}']"
@@ -1005,18 +988,6 @@ class TestCertificateSerialization:
                 lambda doc: doc.update(digest_algorithm=256),
                 "digest_algorithm must be a string",
             ),
-            (
-                lambda doc: doc.update(report=[]),
-                "report: fan report must be a JSON object",
-            ),
-            (
-                lambda doc: doc["report"].update(torus_factor_rank=-1),
-                "report: torus_factor_rank must be a nonnegative integer",
-            ),
-            (
-                lambda doc: doc["report"].update(diagnostics=["ok", 3]),
-                "report: diagnostics must be a list of strings",
-            ),
             (lambda doc: doc["charts"].__setitem__(0, []), "chart 0 must be a JSON object"),
             (
                 lambda doc: doc["charts"][0].update(complement_faces={}),
@@ -1026,7 +997,7 @@ class TestCertificateSerialization:
             (
                 lambda doc: doc.clear(),
                 "certificate document is missing keys: ['a_covered', 'charts', "
-                "'citations', 'digest_algorithm', 'fan_digest', 'format_version', 'report']",
+                "'citations', 'digest_algorithm', 'fan_digest', 'format_version']",
             ),
         ],
     )
@@ -1069,7 +1040,7 @@ class TestCertificateSerialization:
         with pytest.raises(CertificateFormatError):
             certificate_from_dict([good])
 
-        for key in ("format_version", "report", "charts", "a_covered"):
+        for key in ("format_version", "charts", "a_covered"):
             broken = dict(good)
             del broken[key]
             with pytest.raises(CertificateFormatError):
@@ -1107,10 +1078,5 @@ class TestCertificateSerialization:
 
         broken = certificate_to_dict(build_cover(skew_fan()))
         broken["charts"][0]["added_ray_indices"] = [0.5]
-        with pytest.raises(CertificateFormatError):
-            certificate_from_dict(broken)
-
-        broken = certificate_to_dict(build_cover(skew_fan()))
-        broken["report"] = {"valid": True}
         with pytest.raises(CertificateFormatError):
             certificate_from_dict(broken)

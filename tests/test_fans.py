@@ -847,9 +847,15 @@ class TestSerialization:
         for key in good:
             broken = dict(good)
             del broken[key]
-            with pytest.raises(FanFormatError):
+            with pytest.raises(FanFormatError) as exc:
                 report_from_dict(broken)
-        broken = dict(good)
-        broken["valid"] = "yes"
-        with pytest.raises(FanFormatError):
-            report_from_dict(broken)
+            assert str(exc.value) == f"fan report is missing keys: ['{key}']"
+        for doc, message in (
+            ([], "fan report must be a JSON object"),
+            ({**good, "valid": "yes"}, "report field valid must be a boolean"),
+            ({**good, "torus_factor_rank": -1}, "torus_factor_rank must be a nonnegative integer"),
+            ({**good, "diagnostics": ["ok", 3]}, "diagnostics must be a list of strings"),
+        ):
+            with pytest.raises(FanFormatError) as exc:
+                report_from_dict(doc)
+            assert str(exc.value) == message

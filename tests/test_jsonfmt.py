@@ -208,10 +208,7 @@ EDGE_CASES = {
     "citation holds the marker": lambda: dataclasses.replace(
         punctured_3(), citations=(MARKER, "x" + MARKER + MARKER)
     ),
-    "diagnostic holds the marker": lambda: dataclasses.replace(
-        punctured_3(),
-        report=dataclasses.replace(punctured_3().report, diagnostics=(MARKER,)),
-    ),
+    "fan digest holds the marker": lambda: dataclasses.replace(punctured_3(), fan_digest=MARKER),
     "face int over 4300 digits": lambda: with_chart(
         punctured_3(), 1, complement_faces=(LONG_FACE,)
     ),

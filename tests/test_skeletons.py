@@ -81,7 +81,7 @@ def check_skeleton(family: str, k: int, fan: Fan) -> None:
     assert [ch.cone_index for ch in cert.charts] == list(range(len(fan.max_cones)))
     for ch in cert.charts:
         assert ch.kind == KIND_FLEXIBLE_COMPLEMENT
-        assert (ch.k, ch.n) == (k, n)
+        assert (len(fan.max_cones[ch.cone_index]), len(ch.cprime_ray_indices)) == (k, n)
         cprime = IntMatrix.from_rows([fan.rays[i] for i in ch.cprime_ray_indices])
         assert ch.quotient.order == abs(det(cprime))
         assert math.prod(ch.quotient.invariant_factors) == ch.quotient.order
