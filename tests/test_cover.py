@@ -34,6 +34,7 @@ from toricflex.cover import (
 from toricflex.errors import (
     CertificateFormatError,
     DegenerateError,
+    FanFormatError,
     InvalidFanError,
     NotSmoothError,
 )
@@ -46,6 +47,8 @@ from toricflex.fans import (
     fan_punctured_affine,
     fan_to_json,
     make_fan,
+    report_from_dict,
+    report_to_dict,
     star_subdivision,
     torus_factor_rank,
     validate_fan,
@@ -938,6 +941,34 @@ CHART_KEYS = (
     "complement_faces",
     "min_complement_codim",
 )
+REPORT_KEYS = (
+    "valid",
+    "smooth",
+    "simplicial",
+    "nondegenerate",
+    "complete",
+    "torus_factor_rank",
+    "diagnostics",
+)
+
+
+def format1_layout(f):
+    # The certificate of f with its fan report under "report", where a
+    # format 1 certificate kept it.
+    doc = certificate_to_dict(build_cover(f))
+    doc["report"] = report_to_dict(validate_fan(f))
+    return doc
+
+
+def read_format1_layout(doc):
+    # The certificate reader must ignore the report key, however malformed;
+    # the report is read with its own reader, and its errors are labelled
+    # "report: " as the format 1 reader labelled them.
+    certificate_from_dict(doc)
+    try:
+        report_from_dict(doc["report"])
+    except FanFormatError as exc:
+        raise CertificateFormatError(f"report: {exc}") from exc
 
 
 class TestCertificateSerialization:
@@ -970,15 +1001,20 @@ class TestCertificateSerialization:
     @pytest.mark.parametrize(
         "part, key",
         [("certificate", key) for key in CERTIFICATE_KEYS]
-        + [("chart", key) for key in CHART_KEYS],
+        + [("chart", key) for key in CHART_KEYS]
+        + [("report", key) for key in REPORT_KEYS],
     )
     def test_missing_key_message(self, part, key):
-        doc = certificate_to_dict(build_cover(skew_fan()))
-        target = {"certificate": doc, "chart": doc["charts"][0]}
+        doc = format1_layout(skew_fan())
+        target = {"certificate": doc, "chart": doc["charts"][0], "report": doc["report"]}
         del target[part][key]
-        prefix = {"certificate": "certificate document", "chart": "chart 0"}
+        prefix = {
+            "certificate": "certificate document",
+            "chart": "chart 0",
+            "report": "report: fan report",
+        }
         with pytest.raises(CertificateFormatError) as exc:
-            certificate_from_dict(doc)
+            read_format1_layout(doc)
         assert str(exc.value) == f"{prefix[part]} is missing keys: ['{key}']"
 
     @pytest.mark.parametrize(
@@ -987,6 +1023,18 @@ class TestCertificateSerialization:
             (
                 lambda doc: doc.update(digest_algorithm=256),
                 "digest_algorithm must be a string",
+            ),
+            (
+                lambda doc: doc.update(report=[]),
+                "report: fan report must be a JSON object",
+            ),
+            (
+                lambda doc: doc["report"].update(torus_factor_rank=-1),
+                "report: torus_factor_rank must be a nonnegative integer",
+            ),
+            (
+                lambda doc: doc["report"].update(diagnostics=["ok", 3]),
+                "report: diagnostics must be a list of strings",
             ),
             (lambda doc: doc["charts"].__setitem__(0, []), "chart 0 must be a JSON object"),
             (
@@ -1002,10 +1050,10 @@ class TestCertificateSerialization:
         ],
     )
     def test_shape_error_messages(self, edit, message):
-        doc = certificate_to_dict(build_cover(skew_fan()))
+        doc = format1_layout(skew_fan())
         edit(doc)
         with pytest.raises(CertificateFormatError) as exc:
-            certificate_from_dict(doc)
+            read_format1_layout(doc)
         assert str(exc.value) == message
 
     def test_non_object_document_message(self):
