@@ -26,7 +26,6 @@ from .fans import (
     Fan,
     _hypothesis_failures,
     fan_digest,
-    is_smooth_cone,
     validate_fan,
 )
 from .intlinalg import _bareiss, is_int
@@ -179,12 +178,13 @@ def build_cover(f: Fan) -> CoverCertificate:
     )
 
 
-def _chart_findings(f: Fan, ch: ChartCertificate, smooth: bool, shared: dict) -> list[str]:
+def _chart_findings(f: Fan, ch: ChartCertificate, shared: dict) -> list[str]:
     """Re-derive one chart from the fan and list every disagreement.
 
-    smooth is the recomputed report's verdict: when every maximal cone is
-    smooth, no cone needs testing again.  shared is the verifier's own memo
-    of complement faces, see _removed_faces.
+    Every chart takes one path.  An AffineSpace chart is the chart with no
+    added rays: its extended cone is the cone, its complement empty and its
+    quotient trivial.  A cone that is not smooth is a hypothesis failure.
+    shared is the verifier's own memo of complement faces, see _removed_faces.
     """
     out: list[str] = []
     c = f.max_cones[ch.cone_index]
@@ -197,36 +197,6 @@ def _chart_findings(f: Fan, ch: ChartCertificate, smooth: bool, shared: dict) ->
             f"{tag}: kind is {ch.kind!r}, a cone of dimension {k} in ambient "
             f"rank {n} requires {expected_kind!r}"
         )
-
-    if expected_kind == KIND_AFFINE_SPACE:
-        if ch.added_ray_indices:
-            out.append(
-                f"{tag}: an affine space chart has no added rays, "
-                f"certificate lists {list(ch.added_ray_indices)}"
-            )
-        if tuple(ch.cprime_ray_indices) != c:
-            out.append(
-                f"{tag}: extended cone rays {tuple(ch.cprime_ray_indices)} "
-                f"must equal the maximal cone {c}"
-            )
-        if not smooth and not is_smooth_cone(f, c):
-            out.append(f"{tag}: maximal cone {c} is not smooth")
-        if ch.quotient.invariant_factors or ch.quotient.order != 1:
-            out.append(
-                f"{tag}: quotient must be trivial, certificate has factors "
-                f"{list(ch.quotient.invariant_factors)} and order {ch.quotient.order}"
-            )
-        if ch.complement_faces:
-            out.append(
-                f"{tag}: complement must be empty, certificate lists "
-                f"{len(ch.complement_faces)} faces"
-            )
-        if ch.min_complement_codim != n + 1:
-            out.append(
-                f"{tag}: empty complement encodes min codim as {n + 1}, "
-                f"certificate says {ch.min_complement_codim}"
-            )
-        return out
 
     added = tuple(ch.added_ray_indices)
     bad = [i for i in added if not is_int(i) or not 0 <= i < len(f.rays)]
@@ -253,11 +223,12 @@ def _chart_findings(f: Fan, ch: ChartCertificate, smooth: bool, shared: dict) ->
     if len(cprime) != n:
         out.append(f"{tag}: extended cone has {len(cprime)} rays, ambient rank is {n}")
         return out
-    if len(_bareiss([f.rays[i] for i in cprime])[0]) != n:
+    # make_fan checks that a maximal cone's own rays are independent.
+    if added and len(_bareiss([f.rays[i] for i in cprime])[0]) != n:
         out.append(f"{tag}: extended cone generators are rationally dependent")
         return out
 
-    expected = _removed_faces(cprime, c, shared)
+    expected = _removed_faces(cprime, c, shared) if added else ()  # guarded as in _chart
     # A list equal to the expected one, in the same order, passes every
     # per-face check below: the expected faces are distinct, each has at
     # least two rays, and each codimension is the face's size.  So the
@@ -271,7 +242,7 @@ def _chart_findings(f: Fan, ch: ChartCertificate, smooth: bool, shared: dict) ->
             f"recomputation gives {expected_min}"
         )
 
-    actual_q = quotient_group(f, cprime)
+    actual_q = quotient_group(f, cprime) if added else QuotientGroup((), 1)
     if tuple(ch.quotient.invariant_factors) != actual_q.invariant_factors:
         out.append(
             f"{tag}: quotient invariant factors "
@@ -384,7 +355,7 @@ def verify_certificate(f: Fan, cert: CoverCertificate) -> VerificationReport:
     shared: dict = {}
     for ch in cert.charts:
         if ch.cone_index in valid_indices:
-            findings.extend(_chart_findings(f, ch, actual_report.smooth, shared))
+            findings.extend(_chart_findings(f, ch, shared))
 
     expected_a = all(len(c) == f.ambient_rank for c in f.max_cones)
     if cert.a_covered != expected_a:

@@ -12,7 +12,7 @@ import hashlib
 import math
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
 
@@ -529,25 +529,3 @@ def report_to_dict(r: FanReport) -> dict:
         "torus_factor_rank": r.torus_factor_rank,
         "diagnostics": list(r.diagnostics),
     }
-
-
-def report_from_dict(doc) -> FanReport:
-    json_object(doc, [f.name for f in fields(FanReport)], FanFormatError, "fan report")
-    for key in ("valid", "smooth", "simplicial", "nondegenerate", "complete"):
-        if not isinstance(doc[key], bool):
-            raise FanFormatError(f"report field {key} must be a boolean")
-    tfr = doc["torus_factor_rank"]
-    if not is_int(tfr) or tfr < 0:
-        raise FanFormatError("torus_factor_rank must be a nonnegative integer")
-    diags = doc["diagnostics"]
-    if not isinstance(diags, list) or not all(isinstance(s, str) for s in diags):
-        raise FanFormatError("diagnostics must be a list of strings")
-    return FanReport(
-        valid=doc["valid"],
-        smooth=doc["smooth"],
-        simplicial=doc["simplicial"],
-        nondegenerate=doc["nondegenerate"],
-        complete=doc["complete"],
-        torus_factor_rank=tfr,
-        diagnostics=tuple(diags),
-    )

@@ -34,21 +34,19 @@ from toricflex.cover import (
 from toricflex.errors import (
     CertificateFormatError,
     DegenerateError,
-    FanFormatError,
     InvalidFanError,
     NotSmoothError,
 )
 from toricflex.fans import (
     Fan,
     fan_affine_space,
+    fan_digest,
     fan_hirzebruch,
     fan_product,
     fan_projective_space,
     fan_punctured_affine,
     fan_to_json,
     make_fan,
-    report_from_dict,
-    report_to_dict,
     star_subdivision,
     torus_factor_rank,
     validate_fan,
@@ -277,6 +275,16 @@ class TestVerify:
         assert not outcome.passed
         assert any("fan digest mismatch" in s for s in outcome.findings)
 
+    def test_cone_that_is_not_smooth_is_only_a_hypothesis_failure(self):
+        # A complete fan with the cone indices of P^2 whose cone (1, 2),
+        # spanned by (1, 0) and (1, 2), has index 2.  P^2's charts match it
+        # chart for chart once the digest does; the cone is named once.
+        f = make_fan(2, [(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+        doc = certificate_to_dict(build_cover(fan_projective_space(2)))
+        doc["fan_digest"] = fan_digest(f)
+        outcome = verify_certificate(f, certificate_from_dict(doc))
+        assert outcome.findings == ("hypothesis failure: maximal cone (1, 2) is not smooth",)
+
 
 def mutated(fan: Fan, change) -> tuple[bool, tuple[str, ...]]:
     """Apply a dict-level mutation to a fresh certificate and verify it."""
@@ -499,35 +507,57 @@ class TestVerifyMutations:
         assert not passed
         assert any("a_covered is True" in s for s in findings)
 
+    # Chart 0 of P^2, here and in the next two tests, is the
+    # full-dimensional cone (0, 1), checked as the chart with no added
+    # rays: it removes no face, so its minimum codimension is n + 1 = 3,
+    # and its quotient is trivial.
     def test_affine_chart_with_junk_complement(self):
-        def change(doc):
-            doc["charts"][0]["complement_faces"] = [[[0, 1], 2]]
-            doc["charts"][0]["min_complement_codim"] = 2
+        tag = "chart for maximal cone 0"
+        for faces, codim, expected in (
+            (
+                [[[0, 1], 2]],
+                2,
+                (
+                    f"{tag}: face (0, 1) is retained by the chart, not removed",
+                    f"{tag}: min_complement_codim is 2, recomputation gives 3",
+                ),
+            ),
+            ([], 9, (f"{tag}: min_complement_codim is 9, recomputation gives 3",)),
+        ):
 
-        passed, findings = mutated(fan_projective_space(2), change)
-        assert not passed
-        assert any("complement must be empty" in s for s in findings)
+            def change(doc):
+                doc["charts"][0]["complement_faces"] = faces
+                doc["charts"][0]["min_complement_codim"] = codim
+
+            passed, findings = mutated(fan_projective_space(2), change)
+            assert findings == expected
 
     def test_affine_chart_with_added_rays(self):
-        def change(doc):
-            doc["charts"][0]["added_ray_indices"] = [2]
+        for added, cprime, finding in (
+            (
+                [2],
+                [0, 1],
+                "extended cone rays (0, 1) do not equal the maximal cone plus added rays (0, 1, 2)",
+            ),
+            ([0], [0, 1], "added rays [0] already belong to the maximal cone"),
+            ([2], [0, 1, 2], "extended cone has 3 rays, ambient rank is 2"),
+        ):
 
-        passed, findings = mutated(fan_projective_space(2), change)
-        assert not passed
-        assert findings == (
-            "chart for maximal cone 0: an affine space chart has no added rays, "
-            "certificate lists [2]",
-        )
+            def change(doc):
+                doc["charts"][0]["added_ray_indices"] = added
+                doc["charts"][0]["cprime_ray_indices"] = cprime
+
+            passed, findings = mutated(fan_projective_space(2), change)
+            assert findings == (f"chart for maximal cone 0: {finding}",)
 
     def test_affine_chart_with_nontrivial_quotient(self):
         def change(doc):
             doc["charts"][0]["quotient"] = {"invariant_factors": [2], "order": 2}
 
         passed, findings = mutated(fan_projective_space(2), change)
-        assert not passed
         assert findings == (
-            "chart for maximal cone 0: quotient must be trivial, certificate has "
-            "factors [2] and order 2",
+            "chart for maximal cone 0: quotient invariant factors [2] differ from recomputed []",
+            "chart for maximal cone 0: quotient order 2 differs from recomputed 1",
         )
 
     def test_repeated_added_rays(self):
@@ -719,6 +749,16 @@ class TestChartExtension:
         build_cover(f)
         assert len(eliminations) == count
 
+    def test_verifier_lists_no_faces_for_affine_charts(self, monkeypatch):
+        # Every chart of P^5 adds no ray: the verifier neither enumerates
+        # the 2^5 subsets of its cone nor tests the rank of the cone again.
+        f = fan_projective_space(5)
+        cert = build_cover(f)
+        face_lists = self.count_cover_calls(monkeypatch, "_removed_faces")
+        eliminations = self.count_cover_calls(monkeypatch, "_bareiss")
+        assert verify_certificate(f, cert).passed
+        assert (len(face_lists), len(eliminations)) == (0, 0)
+
 
 class TestMatricesCheckedAtTheBoundary:
     """make_fan checks a fan's rays once; the library hands them to the exact
@@ -764,8 +804,7 @@ class TestMatricesCheckedAtTheBoundary:
         # 8 * 1 = 8.  Each chart's quotient_group builds one IntMatrix, and
         # the extended cone, all eight unit vectors, has |det| = 1, so snf
         # is not called either: 8 * 1 = 8.  The verifier's rank test of each
-        # extended cone takes rows, and the recomputed report is smooth, so
-        # no cone is tested again.
+        # extended cone takes rows, and it tests no cone for smoothness again.
         # validate_fan 8 + build_cover (8 + 8) + verify (8 + 8) = 40.
         assert self.constructions(monkeypatch, fan_punctured_affine(8)) == 40
 
@@ -941,34 +980,6 @@ CHART_KEYS = (
     "complement_faces",
     "min_complement_codim",
 )
-REPORT_KEYS = (
-    "valid",
-    "smooth",
-    "simplicial",
-    "nondegenerate",
-    "complete",
-    "torus_factor_rank",
-    "diagnostics",
-)
-
-
-def format1_layout(f):
-    # The certificate of f with its fan report under "report", where a
-    # format 1 certificate kept it.
-    doc = certificate_to_dict(build_cover(f))
-    doc["report"] = report_to_dict(validate_fan(f))
-    return doc
-
-
-def read_format1_layout(doc):
-    # The certificate reader must ignore the report key, however malformed;
-    # the report is read with its own reader, and its errors are labelled
-    # "report: " as the format 1 reader labelled them.
-    certificate_from_dict(doc)
-    try:
-        report_from_dict(doc["report"])
-    except FanFormatError as exc:
-        raise CertificateFormatError(f"report: {exc}") from exc
 
 
 class TestCertificateSerialization:
@@ -1001,20 +1012,15 @@ class TestCertificateSerialization:
     @pytest.mark.parametrize(
         "part, key",
         [("certificate", key) for key in CERTIFICATE_KEYS]
-        + [("chart", key) for key in CHART_KEYS]
-        + [("report", key) for key in REPORT_KEYS],
+        + [("chart", key) for key in CHART_KEYS],
     )
     def test_missing_key_message(self, part, key):
-        doc = format1_layout(skew_fan())
-        target = {"certificate": doc, "chart": doc["charts"][0], "report": doc["report"]}
+        doc = certificate_to_dict(build_cover(skew_fan()))
+        target = {"certificate": doc, "chart": doc["charts"][0]}
         del target[part][key]
-        prefix = {
-            "certificate": "certificate document",
-            "chart": "chart 0",
-            "report": "report: fan report",
-        }
+        prefix = {"certificate": "certificate document", "chart": "chart 0"}
         with pytest.raises(CertificateFormatError) as exc:
-            read_format1_layout(doc)
+            certificate_from_dict(doc)
         assert str(exc.value) == f"{prefix[part]} is missing keys: ['{key}']"
 
     @pytest.mark.parametrize(
@@ -1023,18 +1029,6 @@ class TestCertificateSerialization:
             (
                 lambda doc: doc.update(digest_algorithm=256),
                 "digest_algorithm must be a string",
-            ),
-            (
-                lambda doc: doc.update(report=[]),
-                "report: fan report must be a JSON object",
-            ),
-            (
-                lambda doc: doc["report"].update(torus_factor_rank=-1),
-                "report: torus_factor_rank must be a nonnegative integer",
-            ),
-            (
-                lambda doc: doc["report"].update(diagnostics=["ok", 3]),
-                "report: diagnostics must be a list of strings",
             ),
             (lambda doc: doc["charts"].__setitem__(0, []), "chart 0 must be a JSON object"),
             (
@@ -1050,11 +1044,19 @@ class TestCertificateSerialization:
         ],
     )
     def test_shape_error_messages(self, edit, message):
-        doc = format1_layout(skew_fan())
+        doc = certificate_to_dict(build_cover(skew_fan()))
         edit(doc)
         with pytest.raises(CertificateFormatError) as exc:
-            read_format1_layout(doc)
+            certificate_from_dict(doc)
         assert str(exc.value) == message
+
+    def test_reader_ignores_a_malformed_report(self):
+        # Format 1 stored the fan report under "report"; the reader skips
+        # that key whatever it holds, so a format 1 certificate still parses.
+        doc = certificate_to_dict(build_cover(skew_fan()))
+        cert = certificate_from_dict(doc)
+        doc["report"] = []
+        assert certificate_from_dict(doc) == cert
 
     def test_non_object_document_message(self):
         with pytest.raises(CertificateFormatError) as exc:

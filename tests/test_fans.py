@@ -38,8 +38,6 @@ from toricflex.fans import (
     is_smooth_fan,
     iterated_star_subdivisions,
     make_fan,
-    report_from_dict,
-    report_to_dict,
     star_subdivision,
     torus_factor_rank,
     validate_fan,
@@ -837,25 +835,3 @@ class TestSerialization:
     def test_semantic_errors_come_from_construction(self):
         with pytest.raises(InvalidFanError):
             fan_from_dict({"rank": 2, "rays": [[2, 4]], "max_cones": [[0]]})
-
-    def test_report_round_trip(self):
-        report = validate_fan(fan_punctured_affine(2))
-        assert report_from_dict(report_to_dict(report)) == report
-
-    def test_report_format_errors(self):
-        good = report_to_dict(validate_fan(fan_projective_space(2)))
-        for key in good:
-            broken = dict(good)
-            del broken[key]
-            with pytest.raises(FanFormatError) as exc:
-                report_from_dict(broken)
-            assert str(exc.value) == f"fan report is missing keys: ['{key}']"
-        for doc, message in (
-            ([], "fan report must be a JSON object"),
-            ({**good, "valid": "yes"}, "report field valid must be a boolean"),
-            ({**good, "torus_factor_rank": -1}, "torus_factor_rank must be a nonnegative integer"),
-            ({**good, "diagnostics": ["ok", 3]}, "diagnostics must be a list of strings"),
-        ):
-            with pytest.raises(FanFormatError) as exc:
-                report_from_dict(doc)
-            assert str(exc.value) == message

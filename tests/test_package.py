@@ -29,6 +29,7 @@ REMOVED = (
     "kernel_basis",
     "lru_cache",
     "orbit_codim",
+    "report_from_dict",
 )
 
 
