@@ -184,7 +184,8 @@ def _chart_findings(f: Fan, ch: ChartCertificate, shared: dict) -> list[str]:
     Every chart takes one path.  An AffineSpace chart is the chart with no
     added rays: its extended cone is the cone, its complement empty and its
     quotient trivial.  A cone that is not smooth is a hypothesis failure.
-    shared is the verifier's own memo of complement faces, see _removed_faces.
+    The rule's complement, from shared (the verifier's own memo, see
+    _removed_faces), is built only to compare with a list of its length.
     """
     out: list[str] = []
     c = f.max_cones[ch.cone_index]
@@ -228,14 +229,14 @@ def _chart_findings(f: Fan, ch: ChartCertificate, shared: dict) -> list[str]:
         out.append(f"{tag}: extended cone generators are rationally dependent")
         return out
 
-    expected = _removed_faces(cprime, c, shared) if added else ()  # guarded as in _chart
-    # A list equal to the expected one, in the same order, passes every
-    # per-face check below: the expected faces are distinct, each has at
-    # least two rays, and each codimension is the face's size.  So the
-    # checks run only to word the findings for a list that differs.
-    if tuple(ch.complement_faces) != expected:
-        out.extend(_complement_findings(tag, ch.complement_faces, dict(expected), cprime))
-    expected_min = expected[0][1] if expected else n + 1  # faces come by size
+    # The rule removes every face of cprime but the 2^k faces of the cone
+    # and the n - k added rays; a list of another length is judged without
+    # the rule's list, which is exponential in n however short that one is.
+    count = 2**n - 2**k - (n - k)
+    listed = tuple(ch.complement_faces)
+    if len(listed) != count or (count and listed != _removed_faces(cprime, c, shared)):
+        out.extend(_complement_findings(tag, listed, count, cprime, c))
+    expected_min = 2 if count else n + 1  # the rule removes two-ray faces first
     if ch.min_complement_codim != expected_min:
         out.append(
             f"{tag}: min_complement_codim is {ch.min_complement_codim}, "
@@ -266,43 +267,43 @@ def _int_text(x: int) -> str:
         return f"an integer of {x.bit_length()} bits"
 
 
-def _complement_findings(tag: str, faces, expected: dict[Cone, int], cprime: Cone) -> list[str]:
-    """Every disagreement between a listed complement and the expected one."""
+def _complement_findings(tag: str, listed, count: int, cprime: Cone, cone: Cone) -> list[str]:
+    """Every disagreement between a listed complement and the rule, in one
+    pass: at most one finding per listed face, plus one for a codimension
+    below 2.  Each distinct removed face accounts for one of the count the
+    rule removes, and a shortfall is the first finding."""
     out: list[str] = []
-    listed: dict[Cone, int] = {}
-    for face, codim in faces:
-        key = tuple(face)
-        if key in listed:
-            out.append(f"{tag}: face {key} listed more than once in the complement")
-        listed[key] = codim
-    for face, codim in expected.items():
-        if face not in listed:
-            out.append(f"{tag}: face {face} of the extended cone unaccounted")
-        elif listed[face] != codim:
-            out.append(
-                f"{tag}: face {face} has codimension {codim}, "
-                f"certificate says {listed[face]}"
-            )
-    for face in listed:
-        if face in expected:
-            continue
-        if not set(face) <= set(cprime):
+    rays, kept, seen = set(cprime), set(cone), set()
+    missing = count
+    for face, codim in listed:
+        face = tuple(face)
+        if face in seen:
+            out.append(f"{tag}: face {face} listed more than once in the complement")
+        elif not rays.issuperset(face):
             out.append(f"{tag}: face {face} is not a face of the extended cone")
         elif len(set(face)) != len(face):
             out.append(f"{tag}: face {face} repeats a ray")
-        elif tuple(sorted(face)) in expected:
+        elif len(face) < 2 or kept.issuperset(face):
+            out.append(f"{tag}: face {face} is retained by the chart, not removed")
+        elif face != tuple(sorted(face)):
             out.append(
-                f"{tag}: face {face} lists the rays of face "
-                f"{tuple(sorted(face))} out of order"
+                f"{tag}: face {face} lists the rays of face {tuple(sorted(face))} out of order"
             )
         else:
-            out.append(f"{tag}: face {face} is retained by the chart, not removed")
-    for face, codim in faces:
+            missing -= 1
+            if codim != len(face):
+                out.append(
+                    f"{tag}: face {face} has codimension {len(face)}, certificate says {codim}"
+                )
+        seen.add(face)
         if codim < 2:
             out.append(
-                f"{tag}: complement face {tuple(face)} has codimension {codim}, "
-                f"below the required 2"
+                f"{tag}: complement face {face} has codimension {codim}, below the required 2"
             )
+    if missing:
+        out.insert(
+            0, f"{tag}: {missing} of the {count} removed faces of the extended cone unaccounted"
+        )
     return out
 
 
@@ -311,8 +312,10 @@ def verify_certificate(f: Fan, cert: CoverCertificate) -> VerificationReport:
 
     Uses only the fan predicates and cone geometry, never _chart.
     The one rule it shares with the builder is the complement rule,
-    _removed_faces, which the tests hold against an independent oracle.
-    All failures are reported as findings; nothing raises.
+    _removed_faces, which the tests hold against an independent oracle;
+    a complement that differs is judged face by face, at a cost that follows
+    its length, not the rule's.  All failures are reported as findings;
+    nothing raises.
     """
     findings: list[str] = []
 

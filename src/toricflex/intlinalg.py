@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import DimensionMismatchError, NonSquareError, ZeroVectorError
 
@@ -38,12 +37,7 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        grid = tuple(map(tuple, self.entries))
-        # One scan by type accepts the usual grid of plain ints; any other
-        # grid takes the per-entry check, which decides acceptance (int
-        # subclasses pass, bool does not) and the message.
-        if not set(map(type, chain.from_iterable(grid))) <= {int}:
-            grid = tuple(tuple(_check_int(x) for x in row) for row in grid)
+        grid = tuple(tuple(_check_int(x) for x in row) for row in self.entries)
         if not grid or not grid[0]:
             raise DimensionMismatchError("matrix needs at least one row and one column")
         width = len(grid[0])

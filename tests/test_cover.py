@@ -1,9 +1,11 @@
 """Chart construction, cover certificates, and the independent verifier."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import random
+import re
 import sys
 from functools import reduce
 from itertools import combinations
@@ -21,6 +23,8 @@ from toricflex.cover import (
     FORMAT_VERSION,
     KIND_AFFINE_SPACE,
     KIND_FLEXIBLE_COMPLEMENT,
+    ChartCertificate,
+    CoverCertificate,
     _chart,
     _complement_findings,
     _removed_faces,
@@ -54,6 +58,7 @@ from toricflex.fans import (
 from toricflex.jsonfmt import compact_json
 
 from oracles import change_basis, cycles_in_round_trip, greedy_added_rays, unimodular_bases
+from test_skeletons import skeleton_fans
 
 
 def skew_fan():
@@ -327,7 +332,7 @@ class TestVerifyMutations:
         passed, findings = mutated(skew_fan(), change)
         assert not passed
         assert any(
-            "face (0, 1) of the extended cone unaccounted" in s for s in findings
+            "1 of the 1 removed faces of the extended cone unaccounted" in s for s in findings
         )
 
     def test_extra_complement_face(self):
@@ -363,7 +368,7 @@ class TestVerifyMutations:
         passed, findings = mutated(fan_punctured_affine(3), change)
         tag = "chart for maximal cone 0"
         assert findings == (
-            f"{tag}: face (0, 1) of the extended cone unaccounted",
+            f"{tag}: 1 of the 4 removed faces of the extended cone unaccounted",
             f"{tag}: face (1, 0) lists the rays of face (0, 1) out of order",
         )
 
@@ -379,8 +384,9 @@ class TestVerifyMutations:
             doc["charts"][0]["complement_faces"][0][1] = 3
 
         passed, findings = mutated(skew_fan(), change)
-        assert not passed
-        assert any("has codimension 2, certificate says 3" in s for s in findings)
+        assert findings == (
+            "chart for maximal cone 0: face (0, 1) has codimension 2, certificate says 3",
+        )
 
     def test_wrong_min_codimension(self):
         def change(doc):
@@ -606,12 +612,13 @@ class TestVerifyMutations:
 
     def test_expected_complement_has_no_findings(self):
         # The verifier skips the per-face checks when the listed complement
-        # equals the expected one; they must find nothing in that case.
+        # equals the rule's list; they must find nothing in that case.
         fans = (fan_punctured_affine(5), fan_affine_space(2), skew_fan(), mixed_fan())
         for fan in fans:
             for ch in build_cover(fan).charts:
-                faces = ch.complement_faces
-                found = _complement_findings("chart", faces, dict(faces), ch.cprime_ray_indices)
+                faces, cprime = ch.complement_faces, ch.cprime_ray_indices
+                cone = fan.max_cones[ch.cone_index]
+                found = _complement_findings("chart", faces, len(faces), cprime, cone)
                 assert found == []
 
 
@@ -758,6 +765,102 @@ class TestChartExtension:
         eliminations = self.count_cover_calls(monkeypatch, "_bareiss")
         assert verify_certificate(f, cert).passed
         assert (len(face_lists), len(eliminations)) == (0, 0)
+
+
+def hollow_punctured_certificate(n: int) -> CoverCertificate:
+    """Punctured A^n's certificate with every complement list emptied.
+
+    The other fields are the builder's, derived by hand: chart i adds every
+    other ray, the unit vectors have a trivial quotient, and the smallest
+    face the rule removes has two rays.  The document is a few KB for any n.
+    """
+    f = fan_punctured_affine(n)
+    charts = tuple(
+        ChartCertificate(
+            cone_index=i,
+            kind=KIND_FLEXIBLE_COMPLEMENT,
+            added_ray_indices=tuple(j for j in range(n) if j != i),
+            cprime_ray_indices=tuple(range(n)),
+            quotient=QuotientGroup((), 1),
+            complement_faces=(),
+            min_complement_codim=2,
+        )
+        for i in range(n)
+    )
+    return CoverCertificate(FORMAT_VERSION, DIGEST_ALGORITHM, fan_digest(f), CITATIONS, charts, False)
+
+
+# The face a complement finding is about: the first one it names.
+NAMED_FACE = re.compile(r"^chart for maximal cone \d+: (?:complement )?face (\(.*?\)) ")
+
+
+class TestComplementCount:
+    """The verifier counts the faces the rule removes by a closed form and
+    judges each listed face by the rule; it enumerates the rule's list only
+    to compare it with a list of the same length."""
+
+    def test_hollow_certificate_costs_no_enumeration(self, monkeypatch):
+        # 2^40 - 2 - 39 faces per chart: enumerating them would never end.
+        n = 40
+        cert = hollow_punctured_certificate(n)
+        face_lists = TestChartExtension.count_cover_calls(monkeypatch, "_removed_faces")
+        findings = verify_certificate(fan_punctured_affine(n), cert).findings
+        count = 2**n - 2 - (n - 1)
+        assert face_lists == []
+        assert findings == tuple(
+            f"chart for maximal cone {i}: {count} of the {count} removed faces "
+            f"of the extended cone unaccounted"
+            for i in range(n)
+        )
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        fan=st.one_of(lower_dimensional_fans(), skeleton_fans().map(lambda drawn: drawn[2])),
+        data=st.data(),
+    )
+    def test_dropped_and_junk_faces(self, fan, data):
+        cert = build_cover(fan)
+        index = data.draw(st.integers(0, len(cert.charts) - 1))
+        ch = cert.charts[index]
+        n, cprime = fan.ambient_rank, ch.cprime_ray_indices
+        cone, added = set(fan.max_cones[ch.cone_index]), set(ch.added_ray_indices)
+        faces = list(ch.complement_faces)
+        dropped = data.draw(st.sets(st.sampled_from(range(len(faces))))) if faces else set()
+        gone = {faces[i][0] for i in dropped}
+        # Junk: any subset of cprime (a retained face, or a listed one once
+        # more), its rays permuted, or indices that may leave cprime or repeat.
+        subsets = [face for size in range(n + 1) for face in combinations(cprime, size)]
+        junk_face = st.one_of(
+            st.sampled_from(subsets),
+            st.sampled_from(subsets).flatmap(st.permutations).map(tuple),
+            st.lists(st.integers(-1, len(fan.rays)), max_size=n + 1).map(tuple),
+        )
+        junk = data.draw(
+            st.lists(
+                st.tuples(junk_face, st.integers(-1, n + 2)).filter(lambda p: p[0] not in gone),
+                max_size=4,
+            )
+        )
+        listed = data.draw(
+            st.permutations([pair for i, pair in enumerate(faces) if i not in dropped] + junk)
+        )
+        charts = list(cert.charts)
+        charts[index] = dataclasses.replace(ch, complement_faces=tuple(listed))
+        findings = verify_certificate(fan, dataclasses.replace(cert, charts=tuple(charts))).findings
+
+        # The oracle: the rule case by case over every subset of cprime.
+        removed = [face for face in subsets if not in_extension_skeleton(face, cone, added)]
+        missing = len(set(removed) - {face for face, _ in listed})
+        assert missing == len(dropped)
+        tag = f"chart for maximal cone {ch.cone_index}"
+        if missing:
+            assert findings[0] == (
+                f"{tag}: {missing} of the {len(removed)} removed faces "
+                f"of the extended cone unaccounted"
+            )
+            findings = findings[1:]
+        named = {NAMED_FACE.match(s).group(1) for s in findings}
+        assert named == {str(face) for face, _ in junk}
 
 
 class TestMatricesCheckedAtTheBoundary:
