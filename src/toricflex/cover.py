@@ -449,38 +449,32 @@ def _chart_from_dict(doc, position: int, interned: dict) -> ChartCertificate:
 
 
 def _complement_from_list(faces: list, where: str, interned: dict) -> Complement:
-    # The usual document, a list of face pairs as build_cover makes them, is
-    # accepted by scans by type: each entry a two-item list, each face a
-    # nonempty list of plain ints, each codim a plain int.  Its pairs are
+    # One check by the distinct types each part holds: every entry a
+    # two-item list, every face a list, every ray index and codim an int but
+    # not a bool (an empty face and int or list subclasses are accepted).
+    # A list of plain ints, as every JSON document gives, has its pairs
     # interned across the charts of one document, so that equal pairs are
-    # one object, as in build_cover.  Any other document takes the per-entry check,
-    # which decides acceptance (bools are refused; an empty face and int or
-    # list subclasses are accepted) and the message; its pairs are not
-    # interned, since an equal pair may hold other int types.
-    if set(map(type, faces)) == {list} and set(map(len, faces)) == {2}:
+    # one object, as in build_cover; a list holding an int subclass keeps
+    # its own pairs, since an equal interned pair would change its types.
+    if not faces:
+        return ()
+    ints = {bool}  # refused unless the shape below is met
+    if _all_subclass(faces, list) and set(map(len, faces)) == {2}:
         rays, codims = zip(*faces)
-        if (
-            set(map(type, rays)) == {list}
-            and all(rays)
-            and set(map(type, codims)) == {int}
-            and set(map(type, chain.from_iterable(rays))) <= {int}
-        ):
-            pairs = list(zip(map(tuple, rays), codims))
-            return tuple(map(interned.setdefault, pairs, pairs))
-    parsed = []
-    for entry in faces:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not isinstance(entry[0], list)
-            or not all(map(is_int, entry[0]))
-            or not is_int(entry[1])
-        ):
-            raise CertificateFormatError(
-                f"{where}: complement_faces entries must be [ray index list, codim]"
-            )
-        parsed.append((tuple(entry[0]), entry[1]))
-    return tuple(parsed)
+        if _all_subclass(rays, list):
+            ints = set(map(type, chain(codims, chain.from_iterable(rays))))
+    if bool in ints or not all(issubclass(t, int) for t in ints):
+        raise CertificateFormatError(
+            f"{where}: complement_faces entries must be [ray index list, codim]"
+        )
+    pairs = list(zip(map(tuple, rays), codims))
+    if ints == {int}:
+        return tuple(map(interned.setdefault, pairs, pairs))
+    return tuple(pairs)
+
+
+def _all_subclass(values, base: type) -> bool:
+    return all(issubclass(t, base) for t in set(map(type, values)))
 
 
 def certificate_from_dict(doc) -> CoverCertificate:

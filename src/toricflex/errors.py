@@ -45,10 +45,6 @@ class BadParameterError(ToolkitError):
     """A constructor parameter is out of range."""
 
 
-class NotPureError(ToolkitError):
-    """Completeness is undefined when a maximal cone has lower dimension."""
-
-
 class NotSmoothError(ToolkitError):
     """A smooth fan or cone was required."""
 

@@ -24,7 +24,6 @@ from .errors import (
     DegenerateError,
     FanFormatError,
     InvalidFanError,
-    NotPureError,
     NotSimplicialError,
     NotSmoothError,
     ToolkitError,
@@ -139,24 +138,6 @@ def torus_factor_rank(f: Fan) -> int:
     if not f.rays:
         return f.ambient_rank
     return f.ambient_rank - len(_bareiss(f.rays)[0])
-
-
-def is_complete(f: Fan) -> bool:
-    """Facet-pairing completeness test.
-
-    Requires a pure fan (every maximal cone full-dimensional); raises
-    NotPureError otherwise.  A valid pure fan covers all of space exactly
-    when every facet, i.e. every (n-1)-subset of a maximal cone, occurs in
-    exactly two maximal cones.  Only meaningful on fans that validate.
-    """
-    n = f.ambient_rank
-    if not f.max_cones or any(len(c) != n for c in f.max_cones):
-        raise NotPureError("completeness needs every maximal cone full-dimensional")
-    facets: Counter[Cone] = Counter()
-    for c in f.max_cones:
-        for facet in combinations(c, n - 1):
-            facets[facet] += 1
-    return all(count == 2 for count in facets.values())
 
 
 def _pair_finding(f: Fan, ia: int, ib: int) -> str | None:

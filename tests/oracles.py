@@ -15,6 +15,8 @@ CLI's pause of the cycle collector rests.
 """
 
 import gc
+from collections import Counter
+from itertools import combinations
 from unittest import mock
 
 from hypothesis import strategies as st
@@ -70,9 +72,18 @@ def pair_scan_diagnostics(f: fans.Fan) -> tuple[str, ...]:
 
 
 def complete_by_facet_pairing(f: fans.Fan) -> bool:
-    """Valid by the pair scan, pure, and complete by fans.is_complete."""
-    pure = bool(f.max_cones) and all(len(c) == f.ambient_rank for c in f.max_cones)
-    return pair_scan_diagnostics(f) == () and pure and fans.is_complete(f)
+    """Valid by the pair scan, pure, and complete by facet pairing.
+
+    A valid pure fan covers all of space exactly when every facet, i.e.
+    every (n-1)-subset of a maximal cone, occurs in exactly two maximal
+    cones.
+    """
+    n = f.ambient_rank
+    pure = bool(f.max_cones) and all(len(c) == n for c in f.max_cones)
+    if pair_scan_diagnostics(f) != () or not pure:
+        return False
+    facets = Counter(facet for c in f.max_cones for facet in combinations(c, n - 1))
+    return all(count == 2 for count in facets.values())
 
 
 def greedy_added_rays(f: fans.Fan, cone_index: int) -> tuple[int, ...]:

@@ -931,6 +931,16 @@ class TestSharedComplement:
         assert sum(len(ch.complement_faces) for ch in cert.charts) == 8 * 247
         assert len(distinct_pairs(cert)) == 247
 
+    def test_reader_interns_a_list_with_an_empty_face(self):
+        # An empty face is refused by the verifier, not by the reader, and
+        # its pair is interned like the others: 247 + 1 distinct pairs.
+        doc = certificate_to_dict(build_cover(fan_punctured_affine(8)))
+        for chart in doc["charts"]:
+            chart["complement_faces"].append([[], 2])
+        cert = certificate_from_dict(doc)
+        assert sum(len(ch.complement_faces) for ch in cert.charts) == 8 * 248
+        assert len(distinct_pairs(cert)) == 248
+
     def test_two_builds_share_nothing(self):
         # The memo lives for one call: no cache outlives it.
         f = fan_punctured_affine(8)
@@ -1095,18 +1105,27 @@ class TestCertificateSerialization:
         assert hashlib.sha256(indented.encode("utf-8")).hexdigest() == digest
 
     @settings(deadline=None, max_examples=300)
-    @given(complement_lists())
-    def test_reader_agrees_with_per_entry_check(self, faces):
+    @given(complement_lists(), st.integers(0, 1))
+    @example([[[0, IntSubclass(1)], 2]], 1)
+    @example([[[0, 1], 2], [[IntSubclass(0), 1], 2]], 0)
+    @example([[[0, 1], 2], [[0], 2, 3]], 0)
+    def test_reader_agrees_with_per_entry_check(self, faces, position):
+        # Both charts of SKEW_DOC list [[0, 1], 2].  In chart 1 the drawn
+        # list is read after chart 0's pairs are interned, so a pair of int
+        # subclasses must not come back as chart 0's pair of plain ints; the
+        # first two examples pin that case and its twin within one list.
+        # The third has an entry of three items, which a transpose of the
+        # list alone would cut to two.
         doc = copy.deepcopy(SKEW_DOC)
-        doc["charts"][0]["complement_faces"] = faces
+        doc["charts"][position]["complement_faces"] = faces
         try:
-            expected = per_entry_complement(faces, "chart 0")
+            expected = per_entry_complement(faces, f"chart {position}")
         except CertificateFormatError as exc:
             with pytest.raises(CertificateFormatError) as ours:
                 certificate_from_dict(doc)
             assert str(ours.value) == str(exc)
             return
-        got = certificate_from_dict(doc).charts[0].complement_faces
+        got = certificate_from_dict(doc).charts[position].complement_faces
         assert got == expected
         assert [(list(map(type, f)), type(c)) for f, c in got] == [
             (list(map(type, f)), type(c)) for f, c in expected

@@ -14,7 +14,6 @@ from toricflex.errors import (
     BadParameterError,
     FanFormatError,
     InvalidFanError,
-    NotPureError,
     NotSimplicialError,
     NotSmoothError,
 )
@@ -33,7 +32,6 @@ from toricflex.fans import (
     fan_to_dict,
     fan_to_json,
     first_nonsmooth_cone,
-    is_complete,
     is_smooth_cone,
     is_smooth_fan,
     iterated_star_subdivisions,
@@ -580,11 +578,9 @@ class TestCompleteFanFastPath:
         # every member of the two families (41 and 19).
         assert taken == 92
 
-    def test_complete_flag_matches_facet_pairing(self, monkeypatch):
-        # validate_fan reads complete from the fast path, never is_complete.
+    def test_complete_flag_matches_facet_pairing(self):
         candidates = self.candidates()
         expected = [complete_by_facet_pairing(f) for f in candidates]
-        monkeypatch.setattr(fans, "is_complete", None)
         assert [validate_fan(f).complete for f in candidates] == expected
 
     @settings(deadline=None, max_examples=200)
@@ -676,18 +672,10 @@ class TestPredicates:
         f = make_fan(3, [], [])
         assert torus_factor_rank(f) == 3
 
-    def test_is_complete(self):
-        for n in range(1, 5):
-            assert is_complete(fan_projective_space(n))
-        assert not is_complete(fan_affine_space(2))
-        assert is_complete(fan_hirzebruch(3))
-        with pytest.raises(NotPureError):
-            is_complete(fan_punctured_affine(2))
-        with pytest.raises(NotPureError):
-            is_complete(make_fan(2, [], []))
-
     def test_validate_reports_complete_flag(self):
-        assert validate_fan(fan_projective_space(3)).complete
+        for n in range(1, 5):
+            assert validate_fan(fan_projective_space(n)).complete
+        assert validate_fan(fan_hirzebruch(3)).complete
         assert not validate_fan(fan_affine_space(2)).complete
         assert not validate_fan(fan_punctured_affine(2)).complete
 
@@ -697,8 +685,8 @@ class TestConstructors:
         f = fan_hirzebruch(3)
         assert (-1, 3) in f.rays
         assert len(f.max_cones) == 4
-        assert validate_fan(f).valid
-        assert is_complete(f)
+        report = validate_fan(f)
+        assert report.valid and report.complete
 
     def test_hirzebruch_zero_is_product_of_lines(self):
         assert fan_hirzebruch(0) == fan_product(

@@ -11,9 +11,10 @@ import pytest
 
 import toricflex
 
-# Deleted from the library, or (kernel_basis) moved into the tests.
+# Deleted from the library, or (kernel_basis, is_complete) moved into the tests.
 REMOVED = (
     "FaceLattice",
+    "NotPureError",
     "_INDENT",
     "_add_input",
     "_add_output",
@@ -25,6 +26,7 @@ REMOVED = (
     "cone_dim",
     "face_lattice",
     "facet_normals",
+    "is_complete",
     "is_nondegenerate",
     "kernel_basis",
     "lru_cache",
@@ -137,13 +139,15 @@ def test_only_jsonfmt_imports_json():
 # Text written once for the whole package: by jsonfmt.json_object for the
 # object-and-keys check, by cli._note for the stderr prefix, as
 # fans.HYPOTHESIS_PREFIX for the cover hypotheses, and by
-# intlinalg._fraction_free_step for the exactness of every elimination.
+# intlinalg._fraction_free_step for the exactness of every elimination, and
+# by cover._complement_from_list for every malformed complement list.
 WRITTEN_ONCE = (
     "must be a JSON object",
     "is missing keys",
     "toricflex: ",
     "hypothesis failure: ",
     "fraction-free step lost exactness",
+    "complement_faces entries must be [ray index list, codim]",
 )
 
 
