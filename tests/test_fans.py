@@ -672,10 +672,20 @@ class TestPredicates:
         f = make_fan(3, [], [])
         assert torus_factor_rank(f) == 3
 
+    def test_is_complete(self):
+        cases = [(fan_projective_space(n), True) for n in range(1, 5)] + [
+            (fan_affine_space(2), False),
+            (fan_hirzebruch(3), True),
+            # Not pure: no longer an error, simply not complete.
+            (fan_punctured_affine(2), False),
+            (make_fan(2, [], []), False),
+        ]
+        for f, complete in cases:
+            assert validate_fan(f).complete is complete
+            assert complete_by_facet_pairing(f) is complete
+
     def test_validate_reports_complete_flag(self):
-        for n in range(1, 5):
-            assert validate_fan(fan_projective_space(n)).complete
-        assert validate_fan(fan_hirzebruch(3)).complete
+        assert validate_fan(fan_projective_space(3)).complete
         assert not validate_fan(fan_affine_space(2)).complete
         assert not validate_fan(fan_punctured_affine(2)).complete
 
