@@ -7,10 +7,10 @@ Machine-readable payloads go to stdout (or --output); everything else
 goes to stderr.  The path "-" means the standard stream.
 
 COMMANDS is the one list of commands and of the options each takes;
-OPTIONS holds each option's argparse keywords, and build_parser is one
-loop over the two.  When the first argument names a command, the loop
-adds that command alone, so each call builds one subparser; usage text
-still lists all of them.  Any other argument list builds them all.
+OPTIONS holds each option's argparse keywords.  main parses a command's
+arguments with that command's parser alone (_command_parser), and builds
+the full parser (build_parser) only when arguments are left over or no
+command is named: argparse's top-level help and usage errors come from it.
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ import argparse
 import gc
 import sys
 
-from .cover import (
-    build_cover,
-    certificate_from_json,
-    certificate_to_json,
-    verify_certificate,
-)
+from .cover import build_cover, certificate_from_json, certificate_to_json, verify_certificate
 from .errors import (
     BadConeError,
     BadParameterError,
@@ -227,11 +222,8 @@ OPTIONS = {
     "--cert": dict(required=True, help="certificate file, or - for stdin"),
     "--cone": dict(required=True, help="comma-separated ray indices, e.g. 0,2"),
     "--name": dict(required=True, choices=list(EXAMPLES)),
-    "--param": dict(
-        action="append",
-        type=int,
-        help="integer parameter; repeat for product (two projective factors)",
-    ),
+    "--param": dict(action="append", type=int,
+                    help="integer parameter; repeat for product (two projective factors)"),
 }
 
 # The one list of commands: help line, handler and options, in help order.
@@ -249,32 +241,40 @@ COMMANDS = {
 }
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
+def _command_parser(name: str, parent=None) -> argparse.ArgumentParser:
+    """One command's parser, alone or in the full parser's subparsers action.
+
+    add_parser makes a plain ArgumentParser with the same prog, so both write
+    the same bytes; its help line only feeds the full parser's listing.
+    """
+    help_line, handler, options = COMMANDS[name]
+    parser = (parent.add_parser(name, help=help_line) if parent is not None
+              else argparse.ArgumentParser(prog=f"toricflex {name}"))
+    for option in options:
+        parser.add_argument(option, **OPTIONS[option])
+    parser.set_defaults(handler=handler)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricflex",
         description="Fan toolkit: validation, star subdivisions, and flexibility cover certificates.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    wanted = list(COMMANDS)
-    if argv[:1] and argv[0] in COMMANDS:
-        # Usage lines still list every command.  Left unset on the full
-        # path, where argparse names the argument "command" in its errors.
-        commands.metavar = "{" + ",".join(COMMANDS) + "}"
-        wanted = argv[:1]
-    for name in wanted:
-        help_line, handler, options = COMMANDS[name]
-        sub = commands.add_parser(name, help=help_line)
-        for option in options:
-            sub.add_argument(option, **OPTIONS[option])
-        sub.set_defaults(handler=handler)
+    for name in COMMANDS:
+        _command_parser(name, commands)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = rest = None
+        if argv[:1] and argv[0] in COMMANDS:
+            args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if args is None or rest:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help; keep its code.
         return int(exc.code or 0)

@@ -26,7 +26,6 @@ from .fans import (
     Fan,
     _hypothesis_failures,
     fan_digest,
-    validate_fan,
 )
 from .intlinalg import _bareiss, is_int
 from .jsonfmt import compact_json, json_object, load_json
@@ -164,7 +163,7 @@ def build_cover(f: Fan) -> CoverCertificate:
     Charts are listed in maximal-cone index order, so the certificate is
     byte-stable across runs.
     """
-    for failure in _hypothesis_failures(f, validate_fan(f)):
+    for failure in _hypothesis_failures(f):
         raise failure
     shared: dict = {}
     charts = tuple(_chart(f, i, shared) for i in range(len(f.max_cones)))
@@ -339,10 +338,7 @@ def verify_certificate(f: Fan, cert: CoverCertificate) -> VerificationReport:
     if tuple(cert.citations) != CITATIONS:
         findings.append("citations do not match the two required theorem statements")
 
-    actual_report = validate_fan(f)
-    findings.extend(
-        f"{HYPOTHESIS_PREFIX}{failure}" for failure in _hypothesis_failures(f, actual_report)
-    )
+    findings.extend(f"{HYPOTHESIS_PREFIX}{failure}" for failure in _hypothesis_failures(f))
 
     counts: Counter[object] = Counter(ch.cone_index for ch in cert.charts)
     valid_indices = set(range(len(f.max_cones)))

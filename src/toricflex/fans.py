@@ -290,22 +290,31 @@ def validate_fan(f: Fan) -> FanReport:
 
     A fan is valid, pure and complete exactly when _covers_once accepts it
     (the proof is in fan_diagnostics), so that one test decides complete.
-    A full-dimensional simplicial cone is smooth exactly when |det| = 1, so
-    an accepted fan takes its smoothness from the determinants that test
-    computed.
     """
     dets = _covers_once(f)
     diags = () if dets is not None else _pair_scan(f)
     tfr = torus_factor_rank(f)
     return FanReport(
         valid=not diags,
-        smooth=all(abs(d) == 1 for d in dets) if dets is not None else is_smooth_fan(f),
+        smooth=_first_nonsmooth(f, dets) is None,
         simplicial=True,
         nondegenerate=tfr == 0,
         complete=dets is not None,
         torus_factor_rank=tfr,
         diagnostics=diags,
     )
+
+
+def _first_nonsmooth(f: Fan, dets: tuple[int, ...] | None) -> Cone | None:
+    """first_nonsmooth_cone, given _covers_once's result.
+
+    A full-dimensional simplicial cone is smooth exactly when |det| = 1, so
+    a fan that test accepted takes its smoothness from the determinants it
+    computed.
+    """
+    if dets is None:
+        return first_nonsmooth_cone(f)
+    return next((c for c, d in zip(f.max_cones, dets) if abs(d) != 1), None)
 
 
 # Put before each failure by verify_certificate and before an exit-3 error by the CLI.
@@ -316,20 +325,25 @@ def _not_smooth(cone: Cone) -> NotSmoothError:
     return NotSmoothError(f"maximal cone {cone} is not smooth")
 
 
-def _hypothesis_failures(f: Fan, report: FanReport) -> Iterator[ToolkitError]:
+def _hypothesis_failures(f: Fan) -> Iterator[ToolkitError]:
     """The cover hypotheses (valid, smooth, nondegenerate) the fan fails.
 
-    Yields one error per failure, lazily and in the order the exit codes
-    are checked; build_cover raises the first, verify_certificate reports each.
+    Yields one error per failure in the order the exit codes are checked,
+    and computes each predicate only when it gets there: build_cover raises
+    the first, so an invalid fan is never scanned for smoothness, and
+    verify_certificate reports each.
     """
-    if not report.valid:
-        yield InvalidFanError("fan is invalid: " + "; ".join(report.diagnostics))
-    if not report.smooth:
-        yield _not_smooth(first_nonsmooth_cone(f))
-    if not report.nondegenerate:
+    dets = _covers_once(f)
+    diags = () if dets is not None else _pair_scan(f)
+    if diags:
+        yield InvalidFanError("fan is invalid: " + "; ".join(diags))
+    bad = _first_nonsmooth(f, dets)
+    if bad is not None:
+        yield _not_smooth(bad)
+    tfr = torus_factor_rank(f)
+    if tfr:
         yield DegenerateError(
-            "fan rays do not span the ambient space; "
-            f"torus_factor_rank = {report.torus_factor_rank}"
+            f"fan rays do not span the ambient space; torus_factor_rank = {tfr}"
         )
 
 

@@ -353,7 +353,7 @@ RUNS = {
 
 PARSER_CORPUS = (
     [[], ["--help"], ["-h"], ["-h", "cover"], ["bogus"], ["--input", "x"]]
-    + [[name, "--help"] for name in COMMANDS]
+    + [[name, flag] for name in COMMANDS for flag in ("--help", "-h")]
     + [
         ["verify", "--input", "p2.json"],
         ["subdivide", "--input", "p2.json"],
@@ -362,6 +362,11 @@ PARSER_CORPUS = (
         ["validate", "--frobnicate"],
         ["validate", "--input", "p2.json", "extra"],
         ["validate", "--input", "p2.json", "--verbose"],
+        ["cover", "--input=p2.json", "--output=-"],
+        ["cover", "--inp", "p2.json"],
+        ["cover", "--", "x"],
+        ["validate", "--input", "missing.json", "--input", "p2.json"],
+        ["cover", "--input", "p2.json", "validate"],
     ]
     + list(RUNS.values())
 )
@@ -377,52 +382,64 @@ def p2_dir(tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def add_parser_calls(monkeypatch):
-    """The names passed to argparse's add_parser, in call order."""
-    calls = []
-    original = argparse._SubParsersAction.add_parser
+def parsers_built(monkeypatch):
+    """The prog of each argparse.ArgumentParser constructed, in order."""
+    progs = []
+    original = argparse.ArgumentParser.__init__
 
-    def counted(self, name, **kwargs):
-        calls.append(name)
-        return original(self, name, **kwargs)
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    return calls
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return progs
+
+
+# The full parser: the top-level parser, then one per command.
+FULL_PARSER = ["toricflex"] + [f"toricflex {name}" for name in COMMANDS]
 
 
 @pytest.mark.parametrize("columns", [None, "30", "200"], ids=["columns-unset", "30", "200"])
 @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "no-args")
 def test_one_command_parser_matches_the_full_parser(p2_dir, monkeypatch, capsys, columns, argv):
-    # The oracle is main with every command's subparser built, whatever argv names.
+    # The oracle parses with every command's parser built, whatever argv names.
     if columns is None:
         monkeypatch.delenv("COLUMNS", raising=False)
     else:
         monkeypatch.setenv("COLUMNS", columns)
     code = main(argv)
     fast = (code, *capsys.readouterr())
-    build_all = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=(): build_all())
-    code = main(argv)
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    else:
+        code = args.handler(args)
     assert fast == (code, *capsys.readouterr())
 
 
 @pytest.mark.parametrize("name", list(RUNS))
-def test_a_named_command_builds_one_subparser(p2_dir, capsys, add_parser_calls, name):
+def test_a_named_command_builds_one_subparser(p2_dir, capsys, parsers_built, name):
     assert main(RUNS[name]) == 0
-    assert add_parser_calls == [name]
+    assert parsers_built == [f"toricflex {name}"]
 
 
-@pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 2), (["bogus"], 2)])
-def test_other_argv_builds_every_subparser(capsys, add_parser_calls, argv, code):
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), ([], 2), (["bogus"], 2), (["validate", "--input", "p2.json", "extra"], 2)],
+)
+def test_other_argv_builds_every_subparser(capsys, parsers_built, argv, code):
     assert main(argv) == code
-    assert add_parser_calls == list(COMMANDS)
+    # A named command's own parser comes first; it leaves "extra" over.
+    own = [f"toricflex {name}" for name in argv[:1] if name in COMMANDS]
+    assert parsers_built == own + FULL_PARSER
 
 
-def test_main_reads_sys_argv(p2_dir, monkeypatch, capsys, add_parser_calls):
+def test_main_reads_sys_argv(p2_dir, monkeypatch, capsys, parsers_built):
     monkeypatch.setattr(sys, "argv", ["toricflex", "validate", "--input", "p2.json"])
     assert main() == 0
     assert capsys.readouterr().out == "valid, smooth, nondegenerate, complete\n"
-    assert add_parser_calls == ["validate"]
+    assert parsers_built == ["toricflex validate"]
 
 
 # One run per exit code from the p2_dir directory, each decided inside the

@@ -224,12 +224,28 @@ def count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
+# Two invalid fans, neither complete: a 2-cone whose relative interior
+# crosses the positive orthant, added to the orthant in rank 3 and to P^5.
+CROSSED = {
+    "crossing": make_fan(
+        3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, -1), (-1, 1, 2)], [(0, 1, 2), (3, 4)]
+    ),
+    "p5_crossed": make_fan(
+        5,
+        fan_projective_space(5).rays + ((2, 1, -1, 0, 0), (-1, 1, 2, 0, 0)),
+        fan_projective_space(5).max_cones + ((6, 7),),
+    ),
+}
+
+
 class TestSmoothnessTestedOnce:
-    """Each maximal cone is tested for smoothness once per command: by
-    validate_fan in build and verify, by star_subdivision in subdivide.  A
-    full-dimensional cone's test needs no Smith form, and on a complete fan
-    validate_fan reads it from the determinants of its completeness test.
-    The counts are exact, so a repeated scan shows as a doubled count."""
+    """Each maximal cone is tested for smoothness at most once per command:
+    by the hypothesis check in build and verify, which stops at the first
+    cone that fails and never reaches an invalid fan's cones, and by
+    star_subdivision in subdivide.  A full-dimensional cone's test needs no
+    Smith form, and on a complete fan the check reads it from the
+    determinants of the completeness test.  The counts are exact, so a
+    repeated scan shows as a doubled count."""
 
     def test_projective_space_cover_and_verify(self, monkeypatch):
         f = fan_projective_space(5)
@@ -253,6 +269,35 @@ class TestSmoothnessTestedOnce:
         smooth_tests = count_calls(monkeypatch, "extends_to_z_basis")
         build_cover(f)
         assert len(smooth_tests) == 10
+
+    @pytest.mark.parametrize("name", list(CROSSED))
+    def test_cover_refuses_an_invalid_fan_before_the_smoothness_scan(
+        self, monkeypatch, tmp_path, capsys, name
+    ):
+        f = CROSSED[name]
+        path = tmp_path / "f.json"
+        path.write_text(fan_to_json(f), encoding="utf-8")
+        report = validate_fan(f)
+        smooth_tests = count_calls(monkeypatch, "extends_to_z_basis")
+        out = tmp_path / "f.cert.json"
+        assert main(["cover", "--input", str(path), "--output", str(out)]) == 1
+        message = "fan is invalid: " + "; ".join(report.diagnostics)
+        assert capsys.readouterr().err == f"toricflex: {message}\n"
+        assert smooth_tests == [] and not out.exists()
+        # The scan the command skips: validate_fan tests the cones up to the
+        # crossing 2-cone, which is not smooth.
+        assert not validate_fan(f).smooth and smooth_tests
+
+    def test_a_nonsmooth_fan_is_scanned_once(self, monkeypatch):
+        # One cone, of index 2: the scan tests it once and stops.
+        f = make_fan(2, [(1, 0), (1, 2)], [(0, 1)])
+        cert = build_cover(fan_projective_space(2))
+        smooth_tests = count_calls(monkeypatch, "extends_to_z_basis")
+        with pytest.raises(NotSmoothError):
+            build_cover(f)
+        assert len(smooth_tests) == 1
+        assert not verify_certificate(f, cert).passed
+        assert len(smooth_tests) == 2
 
 
 class TestVerify:
@@ -733,7 +778,7 @@ class TestChartExtension:
 
     @staticmethod
     def count_cover_calls(monkeypatch, name: str) -> list:
-        """Count calls through cover's own binding of name, not validate_fan's."""
+        """Count calls through cover's own binding of name, not the fans module's."""
         calls: list = []
         original = getattr(cover, name)
 
@@ -899,9 +944,10 @@ class TestMatricesCheckedAtTheBoundary:
         assert self.constructions(monkeypatch, f) == 0
 
     def test_punctured_affine_builds_only_smith_form_inputs(self, monkeypatch):
-        # Punctured A^8 has eight one-ray cones.  Each validate_fan decides
-        # its 28 pairs by the rank pretest on rows and builds no matrix for
-        # torus_factor_rank; is_smooth_fan asks extends_to_z_basis about
+        # Punctured A^8 has eight one-ray cones.  validate_fan, and the
+        # hypothesis check of build_cover and of verify, each decide the 28
+        # pairs by the rank pretest on rows and build no matrix for
+        # torus_factor_rank; the smoothness scan asks extends_to_z_basis about
         # each cone, 1 vector in rank 8, which builds one IntMatrix.  Its
         # 1 x 1 minor on the pivot column is 1, so snf is not called:
         # 8 * 1 = 8.  Each chart's quotient_group builds one IntMatrix, and
