@@ -33,8 +33,9 @@ from .fans import (
     HYPOTHESIS_PREFIX,
     Fan,
     FanReport,
+    _axioms,
+    _star_subdivision,
     fan_affine_space,
-    fan_diagnostics,
     fan_from_json,
     fan_hirzebruch,
     fan_product,
@@ -42,7 +43,6 @@ from .fans import (
     fan_punctured_affine,
     fan_to_json,
     report_to_dict,
-    star_subdivision,
     validate_fan,
 )
 from .jsonfmt import pretty_json
@@ -197,14 +197,14 @@ def _parse_cone(text: str) -> tuple[int, ...]:
 
 def _cmd_subdivide(args: argparse.Namespace) -> int:
     fan = _load_fan(args.input)
-    # Only the axioms are checked here: star_subdivision tests smoothness
+    # Only the axioms are checked here: the subdivision tests smoothness
     # itself, after the cone, so the exit codes come in the order 1, 2, 3.
-    diagnostics = fan_diagnostics(fan)
+    dets, diagnostics = _axioms(fan)
     if diagnostics:
         for line in diagnostics:
             _note(f"finding: {line}")
         return _fail(EXIT_INVALID_FAN, "refusing to subdivide an invalid fan")
-    child = star_subdivision(fan, _parse_cone(args.cone))
+    child = _star_subdivision(fan, _parse_cone(args.cone), dets)
     # Serialize first: once the fan is known to be writable, its new ray
     # is also short enough to print in the note.
     text = fan_to_json(child)

@@ -11,12 +11,12 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
-from operator import mul
 
-from .conegeom import Cone, check_ray_indices, cone_contains
+from .conegeom import Cone, check_ray_indices
 from .errors import (
     BadConeError,
     BadIndexError,
@@ -32,7 +32,7 @@ from .intlinalg import (
     Vector,
     _bareiss,
     _phase_one,
-    _scaled_dual_basis,
+    _scaled_solution,
     extends_to_z_basis,
     is_int,
     primitivize,
@@ -140,7 +140,7 @@ def torus_factor_rank(f: Fan) -> int:
     return f.ambient_rank - len(_bareiss(f.rays)[0])
 
 
-def _pair_finding(f: Fan, ia: int, ib: int) -> str | None:
+def _pair_finding(f: Fan, ia: int, ib: int, eliminated=None) -> str | None:
     """Diagnostic if two maximal cones intersect beyond their shared face.
 
     The test looks for a rational dependency among the rays of the first
@@ -148,35 +148,35 @@ def _pair_finding(f: Fan, ia: int, ib: int) -> str | None:
     positive.  Such a dependency equates a positive combination from each
     side, i.e. exhibits a common point; the intersection condition holds
     exactly when every one of them stays within the shared rays (the
-    separation lemma).  When the rays of both cones together are
-    independent, the only dependencies pair a shared ray with its
-    negation, so the pair is fine.  The LP alone would pass such a pair
-    too, but this one rank test is cheaper, and on a fan of rays (a
-    punctured affine space) it decides every pair.  It runs only when the
-    union has at most n rays, since n + 1 vectors in rank n are always
-    dependent; two distinct full-dimensional cones never pass it.
-    Otherwise an exact integer LP (intlinalg._phase_one, the kernel of
-    positive_circuit) finds a dependency outside the shared rays if there
-    is one.  Only then does the same LP run on single rays
-    (conegeom.cone_contains asks it whether one ray is a nonnegative
-    combination of the other cone's rays), to give the more pointed message
-    when a ray of one cone lies inside the other without being shared; that
-    combination is also a feasible point of the pair LP, so the test never
-    fires on a pair the LP passes.  Otherwise the diagnostic names the rays
-    of the circuit.
+    separation lemma).  Two pre-tests pass a pair first: independent rays
+    in the union, at most n of them (each dependency then pairs a shared
+    ray with its negation; this decides a fan of rays), and full-dimensional
+    cones on opposite sides of a shared facet (_opposite, on determinants
+    from eliminated, once per scan).  Other pairs go to an exact integer
+    LP (intlinalg._phase_one); only if it finds a dependency outside the
+    shared rays is each unshared ray tested for membership in the other
+    cone (_lies_in), for a more pointed message.  That combination is a
+    feasible point of the pair LP, so the test never fires on a pair the
+    LP passes.  Otherwise the diagnostic names the rays of the circuit.
     """
-    ca, cb = f.max_cones[ia], f.max_cones[ib]
+    eliminated = eliminated or _cone_eliminations(f)
+    n, ca, cb = f.ambient_rank, f.max_cones[ia], f.max_cones[ib]
     shared = set(ca) & set(cb)
     union = sorted(set(ca) | set(cb))
-    if len(union) <= f.ambient_rank and len(_bareiss([f.rays[i] for i in union])[0]) == len(union):
+    if len(union) <= n and len(_bareiss([f.rays[i] for i in union])[0]) == len(union):
         return None
+    if len(ca) == len(cb) == len(shared) + 1 == n:
+        (pivots_a, det_a), (pivots_b, det_b) = eliminated(ia), eliminated(ib)
+        slot_a, slot_b = (next(i for i, x in enumerate(c) if x not in shared) for c in (ca, cb))
+        if len(pivots_a) == len(pivots_b) == n and _opposite(det_a, slot_a, det_b, slot_b):
+            return None
     cols = [f.rays[i] for i in ca] + [tuple(-x for x in f.rays[i]) for i in cb]
     support = _phase_one(zip(*cols), [int(i not in shared) for i in ca + cb])
     if support is None:
         return None
-    for own, other in ((cb, ca), (ca, cb)):
+    for own, other, io in ((cb, ca, ia), (ca, cb, ib)):
         for idx in own:
-            if idx not in shared and cone_contains(f, other, f.rays[idx]):
+            if idx not in shared and _lies_in(f, other, len(eliminated(io)[0]), f.rays[idx]):
                 return (
                     f"ray {idx} {f.rays[idx]} of maximal cone {own} lies in "
                     f"maximal cone {other} but is not a shared ray"
@@ -190,6 +190,26 @@ def _pair_finding(f: Fan, ia: int, ib: int) -> str | None:
     )
 
 
+def _cone_eliminations(f: Fan) -> Callable[[int], tuple[list[int], int]]:
+    """Maximal cone index -> _bareiss of its rays, each found once."""
+    return cache(lambda i: _bareiss([f.rays[j] for j in f.max_cones[i]]))
+
+
+def _opposite(det_a: int, slot_a: int, det_b: int, slot_b: int) -> bool:
+    """Whether full-dimensional cones whose rays differ only at the sorted slots
+    given lie across their shared facet: det[facet; x] is linear in x (Cramer)."""
+    return det_a * det_b * (-1) ** (slot_a + slot_b) < 0
+
+
+def _lies_in(f: Fan, cone: Cone, rank: int, ray: Vector) -> bool:
+    """Whether the ray lies in the cone: one solve, or for dependent rays the LP."""
+    gens = [f.rays[i] for i in cone]
+    if rank < len(gens):
+        return _phase_one(zip(*gens, [-x for x in ray]), [0] * len(gens) + [1]) is not None
+    solved = _scaled_solution(gens, ray)
+    return solved is not None and all(solved[0] * w >= 0 for w in solved[1])
+
+
 def _covers_once(f: Fan) -> tuple[int, ...] | None:
     """The complete-fan test of fan_diagnostics: det R for each maximal cone.
 
@@ -198,28 +218,21 @@ def _covers_once(f: Fan) -> tuple[int, ...] | None:
     n, cones = f.ambient_rank, f.max_cones
     if not cones or {len(c) for c in cones} != {n} or len(set(cones)) < len(cones):
         return None
-    across: dict[Cone, list[int]] = {}  # facet -> the rays opposite it
-    for c in cones:
+    across: dict[Cone, list[tuple[int, int]]] = {}  # facet -> (cone, slot of the ray opposite)
+    for a, c in enumerate(cones):
         for i in range(n):
-            across.setdefault(c[:i] + c[i + 1:], []).append(c[i])
+            across.setdefault(c[:i] + c[i + 1:], []).append((a, i))
     if len({i for c in cones for i in c}) < len(f.rays) or {len(v) for v in across.values()} != {2}:
         return None
-    duals = [_scaled_dual_basis([f.rays[i] for i in c]) for c in cones]
-    if None in duals:
+    m = 3 + math.isqrt(max(sum(x * x for x in r) for r in f.rays) ** n)
+    p = [sum(f.rays[j][i] * m**k for k, j in enumerate(cones[0])) for i in range(n)]
+    solved = [_scaled_solution([f.rays[i] for i in c], p) for c in cones]
+    if None in solved:
         return None
-    base, heights = [f.rays[i] for i in cones[0]], []  # heights: y_i . r_k, r_k in cone 0
-    for c, (d, ys) in zip(cones, duals):
-        for i, y in enumerate(ys):
-            across_i = sum(across[c[:i] + c[i + 1:]]) - c[i]  # the ray across facet i
-            if d * sum(map(mul, y, f.rays[across_i])) >= 0:
-                return None
-        heights.append([[sum(map(mul, y, r)) for r in base] for y in ys])
-    m = 2 + max(abs(h) for hs in heights for row in hs for h in row)
-    inside = sum(
-        all(d * sum(h * m**k for k, h in enumerate(row)) > 0 for row in hs)
-        for (d, _), hs in zip(duals, heights)
-    )
-    return tuple(d for d, _ in duals) if inside == 1 else None
+    dets = tuple(d for d, _ in solved)
+    if not all(_opposite(dets[a], i, dets[b], j) for (a, i), (b, j) in across.values()):
+        return None
+    return dets if sum(all(d * w > 0 for w in ws) for d, ws in solved) == 1 else None
 
 
 def fan_diagnostics(f: Fan) -> tuple[str, ...]:
@@ -234,10 +247,12 @@ def fan_diagnostics(f: Fan) -> tuple[str, ...]:
     It is nonempty and pure, uses every ray and repeats no cone, so no cone
     is a face of another.  Each facet (n-1 rays of a maximal cone) lies in
     two maximal cones whose opposite rays lie strictly on opposite sides of
-    it, by the signs of d y_i . x, where r_j . y_i = d (i == j) for the rays
-    r_j of a cone (_scaled_dual_basis).  And p = sum_k M^k r_k over the rays
-    of cone 0 lies in exactly one maximal cone.  No y_i . p is 0, as M =
-    2 + max |y_i . r_k| exceeds the Cauchy root bound of the polynomial.
+    it, by the signs of their determinants (_opposite).  And p = sum_k M^k r_k
+    over cone 0's rays lies inside exactly one cone, by the signs of the w_i
+    in sum_i w_i r_i = d p (_scaled_solution).  No w_i is 0: it is y_i . p,
+    r_j . y_i = d (i == j), a polynomial in M whose coefficients, n x n
+    minors of fan rays, are below M - 2 = 1 + isqrt(max |r|^2 ^ n) by
+    Hadamard's bound, so M exceeds its Cauchy root bound.
     Proof: call a point on no facet hyperplane generic.  Paths of segments
     between generic points can miss the codimension-2 spans of n-2 rays of
     a cone and meets of two facet hyperplanes.  Where one crosses a
@@ -250,7 +265,13 @@ def fan_diagnostics(f: Fan) -> tuple[str, ...]:
     smallest face holding x is thus one ray set in C and in C': C and C'
     meet in their shared face, whatever the dimension of the meeting.
     """
-    return () if _covers_once(f) is not None else _pair_scan(f)
+    return _axioms(f)[1]
+
+
+def _axioms(f: Fan) -> tuple[tuple[int, ...] | None, tuple[str, ...]]:
+    """_covers_once's result and fan_diagnostics, which it makes () when not None."""
+    dets = _covers_once(f)
+    return dets, () if dets is not None else _pair_scan(f)
 
 
 def _pair_scan(f: Fan) -> tuple[str, ...]:
@@ -268,6 +289,7 @@ def _pair_scan(f: Fan) -> tuple[str, ...]:
             diags.append(f"maximal cone {c} appears more than once")
 
     sets = [frozenset(c) for c in f.max_cones]
+    eliminated = _cone_eliminations(f)
     contained: list[str] = []
     overlaps: list[str] = []
     for a, b in combinations(range(len(f.max_cones)), 2):
@@ -279,7 +301,7 @@ def _pair_scan(f: Fan) -> tuple[str, ...]:
                 f"maximal cone {f.max_cones[face]} is a face of maximal cone {f.max_cones[cone]}"
             )
         else:
-            finding = _pair_finding(f, a, b)
+            finding = _pair_finding(f, a, b, eliminated)
             if finding is not None:
                 overlaps.append(finding)
     return tuple(diags + contained + overlaps)
@@ -291,9 +313,8 @@ def validate_fan(f: Fan) -> FanReport:
     A fan is valid, pure and complete exactly when _covers_once accepts it
     (the proof is in fan_diagnostics), so that one test decides complete.
     """
-    dets = _covers_once(f)
-    diags = () if dets is not None else _pair_scan(f)
-    tfr = torus_factor_rank(f)
+    dets, diags = _axioms(f)
+    tfr = 0 if dets is not None else torus_factor_rank(f)  # a complete fan's rays span
     return FanReport(
         valid=not diags,
         smooth=_first_nonsmooth(f, dets) is None,
@@ -306,12 +327,7 @@ def validate_fan(f: Fan) -> FanReport:
 
 
 def _first_nonsmooth(f: Fan, dets: tuple[int, ...] | None) -> Cone | None:
-    """first_nonsmooth_cone, given _covers_once's result.
-
-    A full-dimensional simplicial cone is smooth exactly when |det| = 1, so
-    a fan that test accepted takes its smoothness from the determinants it
-    computed.
-    """
+    """first_nonsmooth_cone, given _covers_once's result (cones smooth iff |det| = 1)."""
     if dets is None:
         return first_nonsmooth_cone(f)
     return next((c for c, d in zip(f.max_cones, dets) if abs(d) != 1), None)
@@ -333,14 +349,13 @@ def _hypothesis_failures(f: Fan) -> Iterator[ToolkitError]:
     the first, so an invalid fan is never scanned for smoothness, and
     verify_certificate reports each.
     """
-    dets = _covers_once(f)
-    diags = () if dets is not None else _pair_scan(f)
+    dets, diags = _axioms(f)
     if diags:
         yield InvalidFanError("fan is invalid: " + "; ".join(diags))
     bad = _first_nonsmooth(f, dets)
     if bad is not None:
         yield _not_smooth(bad)
-    tfr = torus_factor_rank(f)
+    tfr = 0 if dets is not None else torus_factor_rank(f)  # a complete fan's rays span
     if tfr:
         yield DegenerateError(
             f"fan rays do not span the ambient space; torus_factor_rank = {tfr}"
@@ -355,6 +370,11 @@ def star_subdivision(f: Fan, cone) -> Fan:
     replaced by the cones obtained by swapping one face generator for the
     new ray; the result is returned in canonical form.
     """
+    return _star_subdivision(f, cone, None)
+
+
+def _star_subdivision(f: Fan, cone, dets: tuple[int, ...] | None) -> Fan:
+    """star_subdivision, given _covers_once's result for the smoothness test."""
     c = tuple(sorted(check_ray_indices(cone, len(f.rays), BadConeError)))
     if len(c) < 2:
         raise BadConeError(
@@ -363,7 +383,7 @@ def star_subdivision(f: Fan, cone) -> Fan:
     cset = set(c)
     if not any(cset <= set(mc) for mc in f.max_cones):
         raise BadConeError(f"cone {c} is not a face of any maximal cone")
-    bad = first_nonsmooth_cone(f)
+    bad = _first_nonsmooth(f, dets)
     if bad is not None:
         raise _not_smooth(bad)
 

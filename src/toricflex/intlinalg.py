@@ -262,27 +262,27 @@ def rank(m: IntMatrix) -> int:
     return len(_bareiss(m.entries)[0])
 
 
-def _scaled_dual_basis(rows) -> tuple[int, list[Vector]] | None:
-    """d = det(R) and the columns y_i of adj(R): r_j . y_i == d * (i == j).
+def _scaled_solution(rows, p) -> tuple[int, list[int]] | None:
+    """(s, w) with sum_i w_i rows[i] == s p, s = det R != 0 for square R.
 
-    Fraction-free Gauss-Jordan on [R | I], R with rows r_j, ending at
-    [+-d I | +-adj(R)]; step k updates only the columns later steps read.
-    None when R is singular.
+    Fraction-free Gauss-Jordan on [R^T | p] ends at [+-s I | +-w] over rows
+    that must end in 0, or None: the rows are dependent or p lies outside
+    their span.  Step j updates only the columns later steps read.
     """
-    n = len(rows)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    k = len(rows)
+    a = [[r[i] for r in rows] + [x] for i, x in enumerate(p)]
     sign = prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
+    for j in range(k):
+        q = next((i for i in range(j, len(a)) if a[i][j]), None)
+        if q is None:
             return None
-        if p != k:
-            a[k], a[p], sign = a[p], a[k], -sign
+        if q != j:
+            a[j], a[q], sign = a[q], a[j], -sign
         for row in a:
-            if row is not a[k]:
-                _fraction_free_step(row, a[k], k, k + 1, prev)
-        prev = a[k][k]
-    return sign * prev, [tuple(sign * row[n + i] for row in a) for i in range(n)]
+            if row is not a[j]:
+                _fraction_free_step(row, a[j], j, j + 1, prev)
+        prev = a[j][j]
+    return None if any(row[k] for row in a[k:]) else (sign * prev, [sign * row[k] for row in a[:k]])
 
 
 def positive_circuit(m: IntMatrix, weights) -> tuple[int, ...] | None:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toricflex import cover, intlinalg
+from toricflex import cover, fans, intlinalg
 from toricflex.cli import main
 from toricflex.conegeom import QuotientGroup
 from toricflex.cover import (
@@ -241,9 +241,9 @@ CROSSED = {
 class TestSmoothnessTestedOnce:
     """Each maximal cone is tested for smoothness at most once per command:
     by the hypothesis check in build and verify, which stops at the first
-    cone that fails and never reaches an invalid fan's cones, and by
-    star_subdivision in subdivide.  A full-dimensional cone's test needs no
-    Smith form, and on a complete fan the check reads it from the
+    cone that fails and never reaches an invalid fan's cones, and by the
+    star subdivision in subdivide.  A full-dimensional cone's test needs no
+    Smith form, and on a complete fan each of them reads it from the
     determinants of the completeness test.  The counts are exact, so a
     repeated scan shows as a doubled count."""
 
@@ -256,13 +256,31 @@ class TestSmoothnessTestedOnce:
         assert verify_certificate(f, cert).passed
         assert (len(smooth_tests), len(smith_forms)) == (0, 0)
 
+    def test_complete_fan_needs_no_torus_rank_elimination(self, monkeypatch):
+        # A complete fan's cones are full-dimensional, so its rays span; a
+        # fan that is not complete keeps the elimination.
+        calls = []
+        original = fans.torus_factor_rank
+        monkeypatch.setattr(fans, "torus_factor_rank", lambda f: calls.append(f) or original(f))
+        f = fan_projective_space(5)
+        assert verify_certificate(f, build_cover(f)).passed
+        assert validate_fan(f).nondegenerate
+        assert calls == []
+        g = fan_punctured_affine(3)
+        assert verify_certificate(g, build_cover(g)).passed
+        assert validate_fan(g).nondegenerate
+        assert calls == [g, g, g]
+
     def test_subdivide_tests_each_cone_once(self, monkeypatch, tmp_path):
         path = tmp_path / "p3.json"
         path.write_text(fan_to_json(fan_projective_space(3)), encoding="utf-8")
         smooth_tests = count_calls(monkeypatch, "extends_to_z_basis")
+        solves = count_calls(monkeypatch, "_scaled_solution")
         out = str(tmp_path / "out.json")
         assert main(["subdivide", "--input", str(path), "--cone", "0,1", "--output", out]) == 0
-        assert len(smooth_tests) == 4
+        # P^3 is complete: the completeness test solves once per maximal
+        # cone, and the subdivision reads smoothness from those determinants.
+        assert (len(smooth_tests), len(solves)) == (0, 4)
 
     def test_punctured_affine_cover(self, monkeypatch):
         f = fan_punctured_affine(10)

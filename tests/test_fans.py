@@ -40,7 +40,7 @@ from toricflex.fans import (
     torus_factor_rank,
     validate_fan,
 )
-from toricflex import fans
+from toricflex import conegeom, fans
 from toricflex.fans import _pair_finding
 from toricflex.conegeom import cone_contains
 from toricflex.intlinalg import IntMatrix, positive_circuit, rank
@@ -48,10 +48,12 @@ from toricflex.intlinalg import IntMatrix, positive_circuit, rank
 from oracles import (
     change_basis,
     complete_by_facet_pairing,
+    dual_basis_covers_once,
     kernel_basis,
     pair_scan_diagnostics,
     unimodular_bases,
 )
+from test_skeletons import skeleton_fans
 
 P2_DIGEST = "41837965ad3f42ad087b653b59d3eed577ce290ed5a871c7c06f3a6658ed06ce"
 
@@ -554,9 +556,23 @@ class TestCompleteFanFastPath:
         assert validate_fan(fan_punctured_affine(10)).valid
         assert pair_calls == Counter({"_pair_finding": 45})
 
-    def test_crossed_fan_scans_every_pair(self, pair_calls):
+    def test_crossed_fan_scans_every_pair(self, pair_calls, monkeypatch):
+        # The 15 pairs of P^5's cones share a facet and lie across it, which
+        # their determinants decide; the 6 pairs with the 2-cone (6, 7) take
+        # the LP.  Each ray's membership in the other cone of an overlapping
+        # pair is one solve, with no LP.
+        circuits = Counter()
+        original = conegeom.positive_circuit
+
+        def counted(*args):
+            circuits["positive_circuit"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(conegeom, "positive_circuit", counted)
         assert not validate_fan(crossed_p5()).valid
-        assert pair_calls == Counter({"_pair_finding": 21, "_phase_one": 21})
+        assert pair_calls == Counter({"_pair_finding": 21, "_phase_one": 6})
+        assert fan_diagnostics(crossed_p5())
+        assert circuits == Counter()
 
     @staticmethod
     def candidates():
@@ -637,6 +653,56 @@ class TestCompleteFanFastPath:
     @given(perturbed_complete_fans())
     def test_agrees_with_pair_scan_on_perturbed_complete_fans(self, f):
         assert fan_diagnostics(f) == pair_scan_diagnostics(f)
+
+    @settings(deadline=None, max_examples=200)
+    @given(perturbed_complete_fans())
+    def test_pairs_agree_with_precheck_first_order_on_perturbed_complete_fans(self, f):
+        # Cones that share a facet are decided by their determinants when
+        # they lie across it, and by the LP otherwise.
+        for a, b in checked_pairs(f):
+            assert _pair_finding(f, a, b) == precheck_first_finding(f, a, b), (f, a, b)
+
+    def test_agrees_with_the_dual_basis_oracle(self):
+        folded = [ZIGZAG, fan_product(ZIGZAG, P1), PENTAGRAM, fan_product(PENTAGRAM, P1)]
+        for f in self.candidates() + folded:
+            assert fans._covers_once(f) == dual_basis_covers_once(f), f
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.one_of(
+            random_fans(),
+            perturbed_complete_fans(),
+            skeleton_fans().map(lambda drawn: drawn[2]),
+        )
+    )
+    def test_agrees_with_the_dual_basis_oracle_on_drawn_fans(self, f):
+        assert fans._covers_once(f) == dual_basis_covers_once(f)
+
+    def test_dependent_cone_across_a_facet_keeps_the_lp(self):
+        # Bypasses make_fan: cone (1, 2, 3) is dependent, a quadrant of the
+        # plane z = 0, and shares its facet (1, 2) with the full-dimensional
+        # cone (0, 1, 2), so the determinant test leaves that pair to the LP.
+        # Read as a determinant, the dependent cone's last pivot would put
+        # the pair on opposite sides of the facet and pass it.  Ray 4 lies in
+        # the dependent cone, which only the LP can tell.
+        f = Fan(
+            ambient_rank=3,
+            rays=((0, 0, -1), (0, 1, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)),
+            max_cones=((0, 1, 2), (0, 4), (1, 2, 3)),
+        )
+        assert not fans._covers_once(f)
+        for a, b in checked_pairs(f):
+            assert _pair_finding(f, a, b) == precheck_first_finding(f, a, b), (a, b)
+        diagnostics = fan_diagnostics(f)
+        assert diagnostics == pair_scan_diagnostics(f)
+        assert diagnostics == (
+            "ray 4 (1, 2, 0) of maximal cone (0, 4) lies in maximal cone (0, 1, 2) "
+            "but is not a shared ray",
+            "ray 3 (1, 1, 0) of maximal cone (1, 2, 3) lies in maximal cone (0, 1, 2) "
+            "but is not a shared ray",
+            "ray 4 (1, 2, 0) of maximal cone (0, 4) lies in maximal cone (1, 2, 3) "
+            "but is not a shared ray",
+        )
 
 
 class TestPredicates:

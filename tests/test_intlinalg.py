@@ -20,7 +20,7 @@ from toricflex.intlinalg import (
     IntMatrix,
     _bareiss,
     _fraction_free_step,
-    _scaled_dual_basis,
+    _scaled_solution,
     det,
     extends_to_z_basis,
     positive_circuit,
@@ -30,6 +30,7 @@ from toricflex.intlinalg import (
 )
 
 from oracles import kernel_basis, rank_prefix_pivots
+from oracles import scaled_dual_basis as _scaled_dual_basis
 
 
 def cofactor_det(m: IntMatrix) -> int:
@@ -235,7 +236,8 @@ def singular_rows(draw):
 
 
 class TestScaledDualBasis:
-    """The kernel of the complete-fan test: d = det(R) and R @ Y == d I."""
+    """The kernel of the dual-basis oracle for the complete-fan test:
+    d = det(R) and R @ Y == d I."""
 
     def test_examples(self):
         assert _scaled_dual_basis([[1]]) == (1, [(1,)])
@@ -266,6 +268,89 @@ class TestScaledDualBasis:
     def test_singular_rows_are_refused(self, rows):
         assert cofactor_det(IntMatrix.from_rows(rows)) == 0
         assert _scaled_dual_basis(rows) is None
+
+
+def first_nonzero_minor(rows) -> tuple[int, ...] | None:
+    """The first k columns, in combination order, on which the k rows have a
+    nonzero k x k minor by cofactor expansion; None when the rows are dependent."""
+    k, n = len(rows), len(rows[0])
+    for cols in combinations(range(n), k):
+        if cofactor_det(IntMatrix.from_rows([[row[c] for c in cols] for row in rows])):
+            return cols
+    return None
+
+
+@st.composite
+def rows_and_point(draw):
+    """k <= n rows of length n <= 5 and a point: a combination of the rows,
+    often one of them made a combination of the others, or a random point."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    entry = st.integers(-30, 30)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows[:-1])) for j in range(n)]
+    if draw(st.booleans()):
+        return rows, [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+    return rows, draw(st.lists(entry, min_size=n, max_size=n))
+
+
+class TestScaledSolution:
+    """The kernel of the complete-fan test and of ray membership:
+    sum_i w_i r_i == s p, s = det R for square R."""
+
+    def test_examples(self):
+        assert _scaled_solution([[1, 0], [0, 1]], [3, 4]) == (1, [3, 4])
+        # The first pivot needs a row swap; s keeps the sign of det R.
+        assert _scaled_solution([[0, 1], [1, 0]], [3, 4]) == (-1, [-4, -3])
+        assert _scaled_solution([[2, 1], [1, 1]], [1, 0]) == (1, [1, -1])
+        assert _scaled_solution([[2, 0, 0]], [4, 0, 0]) == (2, [4])
+        assert _scaled_solution([], [0, 0]) == (1, [])
+
+    def test_refusals(self):
+        assert _scaled_solution([[1, 2], [2, 4]], [1, 2]) is None
+        assert _scaled_solution([[1, 1, 0]], [1, 0, 0]) is None
+        assert _scaled_solution([[1, 0, 0], [0, 1, 0]], [0, 0, 1]) is None
+        assert _scaled_solution([], [0, 1]) is None
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 6).flatmap(lambda n: square_rows(n + 1, 10 ** 6)))
+    def test_square_rows_against_det_and_cramer(self, drawn):
+        # n + 1 rows of length n + 1: the first n, cut to length n, and a point.
+        *rows, p = [row[:-1] for row in drawn]
+        d = cofactor_det(IntMatrix.from_rows(rows))
+        solved = _scaled_solution(rows, p)
+        if d == 0:
+            assert solved is None
+            return
+        assert d == det(IntMatrix.from_rows(rows))
+        # Cramer's rule: w_i is det R with row i replaced by p.
+        replaced = [
+            cofactor_det(IntMatrix.from_rows(rows[:i] + [p] + rows[i + 1:]))
+            for i in range(len(rows))
+        ]
+        assert solved == (d, replaced)
+
+    @settings(deadline=None, max_examples=300)
+    @given(rows_and_point())
+    def test_against_cramer_on_a_nonzero_minor(self, drawn):
+        rows, p = drawn
+        cols = first_nonzero_minor(rows)
+        solved = _scaled_solution(rows, p)
+        if cols is None or first_nonzero_minor(rows + [p]) is not None:
+            # Dependent rows, or p outside their span.
+            assert solved is None
+            return
+        s, w = solved
+        assert s != 0 and len(w) == len(rows)
+        combination = [sum(x * row[j] for x, row in zip(w, rows)) for j in range(len(p))]
+        assert combination == [s * x for x in p]
+        minor = [[row[c] for c in cols] for row in rows]
+        m = cofactor_det(IntMatrix.from_rows(minor))
+        for i, x in enumerate(w):
+            swapped = minor[:i] + [[p[c] for c in cols]] + minor[i + 1:]
+            assert x * m == s * cofactor_det(IntMatrix.from_rows(swapped))
 
 
 class TestRank:

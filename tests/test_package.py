@@ -20,6 +20,7 @@ REMOVED = (
     "_add_output",
     "_add_verbose",
     "_pretty",
+    "_scaled_dual_basis",
     "_span_frame",
     "adjugate",
     "build_chart",
